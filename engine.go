@@ -124,7 +124,9 @@ func AnalyzeSource(ctx context.Context, src Source, opts Options) (*Result, erro
 			if err := p.rep.Feed(ev); err != nil {
 				return err
 			}
-			p.cand.Feed(ev)
+			if err := p.cand.Feed(ev); err != nil {
+				return err
+			}
 			if bins > 0 {
 				switch ev.Kind {
 				case trace.KindEnter:
@@ -310,26 +312,17 @@ func AnalyzeSource(ctx context.Context, src Source, opts Options) (*Result, erro
 		return nil, err
 	}
 
-	// Bin the recorded MPI intervals now that the global span is known.
-	// Feeding rank-major through one integer accumulator matches the
-	// materialized path exactly: every addend is an exact int64, and
-	// integer addition is order-independent.
+	// Bin the recorded MPI intervals now that the global span is known,
+	// through the binner imbalance.MPIFractionTimeline uses.
 	var frac []float64
 	if bins > 0 {
-		frac = make([]float64, bins)
-		if last > first {
-			bn := newMPIBinner(first, last, bins)
-			for _, p := range parts {
-				for i := 0; i+1 < len(p.mpi); i += 2 {
-					bn.addInterval(p.mpi[i], p.mpi[i+1])
-				}
-			}
-			binWidth := float64(last-first) / float64(bins)
-			denom := binWidth * float64(nranks)
-			for b := range frac {
-				frac[b] = float64(bn.acc[b]) / denom
+		bn := imbalance.NewBinner(first, last, bins)
+		for _, p := range parts {
+			for i := 0; i+1 < len(p.mpi); i += 2 {
+				bn.AddInterval(p.mpi[i], p.mpi[i+1])
 			}
 		}
+		frac = bn.Fractions(nranks)
 	}
 
 	var lres *lint.Result
@@ -355,44 +348,4 @@ func AnalyzeSource(ctx context.Context, src Source, opts Options) (*Result, erro
 		res.Engine = EngineMaterialized
 	}
 	return res, nil
-}
-
-// mpiBinner accumulates, per time bin, the nanoseconds the ranks spent
-// inside MPI regions — the streaming form of the per-rank scan in
-// imbalance.MPIFractionTimeline. It bins in integer nanoseconds with the
-// same truncating bin-boundary arithmetic; every addend the materialized
-// path sums in float64 is an exact integer, so the merged integer totals
-// convert to the same float64 fractions (exact up to 2^53 ns of
-// aggregate MPI time per bin, beyond any real trace). The engine records
-// each rank's maximal MPI intervals during its single pass and feeds
-// them here once the global span is known.
-type mpiBinner struct {
-	first trace.Time
-	span  trace.Time
-	bins  int
-	acc   []int64
-}
-
-func newMPIBinner(first, last trace.Time, bins int) *mpiBinner {
-	return &mpiBinner{first: first, span: last - first, bins: bins, acc: make([]int64, bins)}
-}
-
-func (m *mpiBinner) addInterval(from, to trace.Time) {
-	if to <= from {
-		return
-	}
-	for b := 0; b < m.bins; b++ {
-		bStart := m.first + m.span*trace.Time(b)/trace.Time(m.bins)
-		bEnd := m.first + m.span*trace.Time(b+1)/trace.Time(m.bins)
-		lo, hi := from, to
-		if lo < bStart {
-			lo = bStart
-		}
-		if hi > bEnd {
-			hi = bEnd
-		}
-		if hi > lo {
-			m.acc[b] += int64(hi - lo)
-		}
-	}
 }

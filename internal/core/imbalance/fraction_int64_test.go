@@ -1,7 +1,10 @@
 package imbalance
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
+	"testing/quick"
 
 	"perfvar/internal/trace"
 )
@@ -51,5 +54,45 @@ func TestParadigmFractionOrderIndependent(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("bin %d: slivers %v != solid %v", i, a[i], b[i])
 		}
+	}
+}
+
+// addAllBins is the reference binning: clip the interval against every
+// bin.
+func addAllBins(acc []int64, first, last, from, to trace.Time) {
+	span, n := last-first, trace.Time(len(acc))
+	if to <= from {
+		return
+	}
+	for b := trace.Time(0); b < n; b++ {
+		lo, hi := max(from, first+span*b/n), min(to, first+span*(b+1)/n)
+		if hi > lo {
+			acc[b] += int64(hi - lo)
+		}
+	}
+}
+
+// Property: visiting only the overlapping bins accumulates exactly what
+// clipping against every bin does — including spans narrower than the
+// bin count (empty bins), intervals reaching outside the span, and
+// intervals touching bin bounds.
+func TestBinnerMatchesAllBinsProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		first := trace.Time(rng.Intn(1000))
+		last := first + trace.Time(rng.Intn(200))
+		bins := 1 + rng.Intn(40)
+		bn := NewBinner(first, last, bins)
+		want := make([]int64, bins)
+		for i := 0; i < 20; i++ {
+			from := first - 20 + trace.Time(rng.Intn(int(last-first)+40))
+			to := from + trace.Time(rng.Intn(80)) - 5
+			bn.AddInterval(from, to)
+			addAllBins(want, first, last, from, to)
+		}
+		return reflect.DeepEqual(bn.acc, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -349,36 +349,15 @@ func ParadigmFractionTimeline(tr *trace.Trace, par trace.Paradigm, bins int) []f
 		return nil
 	}
 	first, last := tr.Span()
-	out := make([]float64, bins)
-	if last <= first {
-		return out
-	}
-	span := last - first
-	// Accumulate in int64 nanoseconds: every clipped interval is an
-	// exact integer, integer addition is order-independent, and the one
-	// float64 conversion below happens after the final sum — the same
-	// contract the streaming engine's mpiBinner keeps, which is what
-	// makes the two paths' fractions byte-identical.
-	inPar := make([]int64, bins)
-	addInterval := func(acc []int64, from, to trace.Time) {
-		if to <= from {
-			return
-		}
-		for b := 0; b < bins; b++ {
-			bStart := first + span*trace.Time(b)/trace.Time(bins)
-			bEnd := first + span*trace.Time(b+1)/trace.Time(bins)
-			lo, hi := from, to
-			if lo < bStart {
-				lo = bStart
-			}
-			if hi > bEnd {
-				hi = bEnd
-			}
-			if hi > lo {
-				acc[b] += int64(hi - lo)
-			}
-		}
-	}
+	bn := NewBinner(first, last, bins)
+	eachParadigmInterval(tr, par, bn.AddInterval)
+	return bn.Fractions(tr.NumRanks())
+}
+
+// eachParadigmInterval calls fn with every rank's maximal intervals
+// inside regions of paradigm par: an interval opens when the nesting
+// depth of such regions leaves zero and closes when it returns.
+func eachParadigmInterval(tr *trace.Trace, par trace.Paradigm, fn func(from, to trace.Time)) {
 	for rank := range tr.Procs {
 		depth := 0
 		var start trace.Time
@@ -395,16 +374,69 @@ func ParadigmFractionTimeline(tr *trace.Trace, par trace.Paradigm, bins int) []f
 				if tr.Region(ev.Region).Paradigm == par {
 					depth--
 					if depth == 0 {
-						addInterval(inPar, start, ev.Time)
+						fn(start, ev.Time)
 					}
 				}
 			}
 		}
 	}
-	binWidth := float64(span) / float64(bins)
-	denom := binWidth * float64(tr.NumRanks())
-	for b := range out {
-		out[b] = float64(inPar[b]) / denom
+}
+
+// Binner accumulates, per equal-width time bin of the span [first, last],
+// the nanoseconds a set of intervals covers — the one binning kernel
+// behind ParadigmFractionTimeline and the streaming engine's MPI
+// timeline. Bin b covers [first + span*b/bins, first + span*(b+1)/bins)
+// with truncating integer bounds. Accumulating in int64 keeps every
+// addend exact and the sums order-independent; the one float64
+// conversion happens in Fractions, after the final sum, which is what
+// makes the materialized and streaming fractions byte-identical.
+type Binner struct {
+	first, span trace.Time
+	acc         []int64
+}
+
+// NewBinner returns a binner of bins bins over [first, last].
+func NewBinner(first, last trace.Time, bins int) *Binner {
+	return &Binner{first: first, span: last - first, acc: make([]int64, bins)}
+}
+
+// AddInterval adds the part of [from, to) inside each bin, visiting only
+// the bins the interval overlaps.
+func (b *Binner) AddInterval(from, to trace.Time) {
+	n := trace.Time(len(b.acc))
+	if to <= from || b.span <= 0 {
+		return
+	}
+	// The first bin that can overlap: its start is at most from, and
+	// every earlier bin ends at or before from.
+	k := trace.Time(0)
+	if from > b.first {
+		k = (from - b.first) * n / b.span
+	}
+	for ; k < n; k++ {
+		bStart := b.first + b.span*k/n
+		if bStart >= to {
+			return
+		}
+		bEnd := b.first + b.span*(k+1)/n
+		lo, hi := max(from, bStart), min(to, bEnd)
+		if hi > lo {
+			b.acc[k] += int64(hi - lo)
+		}
+	}
+}
+
+// Fractions returns each bin's covered time as a fraction of the bin's
+// aggregate time across nranks ranks; all zero for an empty span.
+func (b *Binner) Fractions(nranks int) []float64 {
+	out := make([]float64, len(b.acc))
+	if b.span <= 0 {
+		return out
+	}
+	binWidth := float64(b.span) / float64(len(b.acc))
+	denom := binWidth * float64(nranks)
+	for i, v := range b.acc {
+		out[i] = float64(v) / denom
 	}
 	return out
 }
@@ -424,39 +456,10 @@ func ParadigmFractionBetween(tr *trace.Trace, par trace.Paradigm, from, to trace
 	}
 	// int64 until the final division, as in ParadigmFractionTimeline.
 	var inPar trace.Duration
-	clip := func(a, b trace.Time) trace.Duration {
-		if a < from {
-			a = from
+	eachParadigmInterval(tr, par, func(a, b trace.Time) {
+		if lo, hi := max(a, from), min(b, to); hi > lo {
+			inPar += hi - lo
 		}
-		if b > to {
-			b = to
-		}
-		if b > a {
-			return b - a
-		}
-		return 0
-	}
-	for rank := range tr.Procs {
-		depth := 0
-		var start trace.Time
-		for _, ev := range tr.Procs[rank].Events {
-			switch ev.Kind {
-			case trace.KindEnter:
-				if tr.Region(ev.Region).Paradigm == par {
-					if depth == 0 {
-						start = ev.Time
-					}
-					depth++
-				}
-			case trace.KindLeave:
-				if tr.Region(ev.Region).Paradigm == par {
-					depth--
-					if depth == 0 {
-						inPar += clip(start, ev.Time)
-					}
-				}
-			}
-		}
-	}
+	})
 	return float64(inPar) / (float64(to-from) * float64(tr.NumRanks()))
 }

@@ -528,21 +528,6 @@ func ANSI(img *vis.Image, cols int) string { return vis.ANSI(img, cols) }
 // A nil field keeps the 5% default.
 func RelDeviation(v float64) *float64 { return online.RelDeviation(v) }
 
-// NewOnlineAnalyzer builds an in-situ hotspot detector: events are fed as
-// they occur (per rank in time order) and alerts fire the moment a
-// completed dominant-function invocation deviates — no trace file needed.
-//
-// Deprecated: use OnlineConfig.NewAnalyzer, which also accepts the
-// dominant function by RegionID and a custom synchronization classifier.
-func NewOnlineAnalyzer(nranks int, regions []Region, dominantName string, opts OnlineOptions) (*OnlineAnalyzer, error) {
-	return OnlineConfig{
-		Ranks:        nranks,
-		Regions:      regions,
-		DominantName: dominantName,
-		Options:      opts,
-	}.NewAnalyzer()
-}
-
 // StreamTrace reads the archive at path event-by-event without
 // materializing it, invoking fn per event (rank-major). It returns the
 // archive's definitions. Returning ErrStopStream from fn ends the stream

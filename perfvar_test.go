@@ -524,11 +524,11 @@ func TestOnlineAndStreamingFacade(t *testing.T) {
 	if len(header.Procs) != 32 {
 		t.Fatalf("header procs = %d", len(header.Procs))
 	}
-	analyzer, err := NewOnlineAnalyzer(len(header.Procs), header.Regions, "iteration", OnlineOptions{})
+	analyzer, err := OnlineConfig{Ranks: len(header.Procs), Regions: header.Regions, DominantName: "iteration"}.NewAnalyzer()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewOnlineAnalyzer(1, header.Regions, "nope", OnlineOptions{}); err == nil {
+	if _, err := (OnlineConfig{Ranks: 1, Regions: header.Regions, DominantName: "nope"}).NewAnalyzer(); err == nil {
 		t.Fatal("unknown dominant accepted")
 	}
 	if _, err := StreamTrace(path, func(rank Rank, ev Event) error {

@@ -23,7 +23,7 @@ var nsarithScope = map[string]bool{
 // (acc += float64(hi-lo)) makes the total depend on addition order and
 // rounding the moment a partial sum passes 2^53, while the equivalent
 // int64 accumulation is exact and order-independent — the property the
-// streaming engine's byte-identity proof rests on (engine.go mpiBinner).
+// streaming engine's byte-identity proof rests on (imbalance.Binner).
 // A second pattern, accumulation inside a range over a map, is flagged
 // regardless of the operand: map iteration order is randomized, so a
 // floating sum folded in that order differs run to run.
