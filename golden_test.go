@@ -5,12 +5,15 @@ package perfvar
 // alerts on the interrupted FD4 run, frozen byte for byte under
 // testdata/golden/. Every segmentation path — the engine's single pass,
 // its fallback pass, segment.Compute, and the online analyzer — must
-// reproduce them. Regenerate after an intended change with
+// reproduce them. The profile views (flat profile, call tree, rank
+// profiles, windowed MPI fraction), the causality JSON and the lint JSON
+// are frozen the same way. Regenerate after an intended change with
 //
 //	go test -run TestGolden -update .
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -18,8 +21,12 @@ import (
 	"strconv"
 	"testing"
 
+	"perfvar/internal/baseline"
+	"perfvar/internal/callstack"
 	"perfvar/internal/core/imbalance"
 	"perfvar/internal/core/segment"
+	"perfvar/internal/lint"
+	"perfvar/internal/trace"
 	"perfvar/internal/workloads"
 )
 
@@ -156,4 +163,109 @@ func TestGoldenOnline(t *testing.T) {
 			s.Rank, s.Index, s.Start, s.End, s.Sync, goldenFloat(al.Score), al.SeenSegments)
 	}
 	checkGolden(t, "fd4-online.alerts", b.Bytes())
+}
+
+// formatProfileGolden renders the profiler-side views of tr: the flat
+// profile (every RegionProfile field and TotalTime), the full call tree,
+// the per-rank exclusive-time vectors with their MPI fraction, and the
+// MPI share of the second half of the run.
+func formatProfileGolden(t *testing.T, tr *Trace) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	prof, err := callstack.ProfileOf(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&b, "total %d\n", prof.TotalTime)
+	for _, rp := range prof.Regions {
+		fmt.Fprintf(&b, "region %d %q count %d incl %d excl %d max %d min %d ranks %d\n",
+			rp.Region, tr.Region(rp.Region).Name, rp.Count, rp.SumInclusive, rp.SumExclusive,
+			rp.MaxInclusive, rp.MinInclusive, rp.Ranks)
+	}
+	tree, err := BuildCallTree(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString("calltree:\n")
+	if err := tree.Print(&b, -1); err != nil {
+		t.Fatal(err)
+	}
+	rps, err := baseline.RankProfiles(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rp := range rps {
+		fmt.Fprintf(&b, "rank %d total %s:", rp.Rank, goldenFloat(rp.Total))
+		for _, v := range rp.ExclusiveByRegion {
+			b.WriteString(" " + goldenFloat(v))
+		}
+		b.WriteByte('\n')
+	}
+	fmt.Fprintf(&b, "profile mpi fraction %s\n", goldenFloat(baseline.MPIFraction(tr, rps)))
+	first, last := tr.Span()
+	mid := first + (last-first)/2
+	fmt.Fprintf(&b, "mpi between %d and %d: %s\n", mid, last,
+		goldenFloat(imbalance.ParadigmFractionBetween(tr, trace.ParadigmMPI, mid, last)))
+	return b.Bytes()
+}
+
+// TestGoldenProfiles pins each workload's flat profile, call tree, rank
+// profiles and windowed MPI fraction.
+func TestGoldenProfiles(t *testing.T) {
+	for _, w := range goldenWorkloads() {
+		t.Run(w.name, func(t *testing.T) {
+			tr, err := w.gen()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, w.name+".profile", formatProfileGolden(t, tr))
+		})
+	}
+}
+
+// TestGoldenCausalityAndLint pins the causality JSON and the lint JSON of
+// the parallel-equivalence traces, and the lint JSON of the checked-in
+// example traces.
+func TestGoldenCausalityAndLint(t *testing.T) {
+	for name, tr := range equivTraces(t) {
+		t.Run(name, func(t *testing.T) {
+			res, err := Analyze(tr, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			caus, err := res.Causality()
+			if err != nil {
+				t.Fatal(err)
+			}
+			js, err := json.Marshal(caus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, name+".causality.json", append(js, '\n'))
+			checkGolden(t, name+".lint.json", lintJSONGolden(t, lint.Run(tr, lint.Options{})))
+		})
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "traces", "*.pvtt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		name := filepath.Base(path)
+		t.Run(name, func(t *testing.T) {
+			tr, err := trace.ReadAnyFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "traces-"+name+".lint.json", lintJSONGolden(t, lint.Run(tr, lint.Options{})))
+		})
+	}
+}
+
+func lintJSONGolden(t *testing.T, res *lint.Result) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := res.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }
