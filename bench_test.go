@@ -12,6 +12,7 @@ package perfvar
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -43,11 +44,17 @@ func BenchmarkFig1InclusiveExclusive(b *testing.B) {
 	b.ResetTimer()
 	var incl, excl trace.Duration
 	for i := 0; i < b.N; i++ {
-		invs, err := callstack.Replay(&tr.Procs[0])
-		if err != nil {
+		rep := callstack.NewStreamReplay(0, len(tr.Regions))
+		for _, ev := range tr.Procs[0].Events {
+			if err := rep.Feed(ev); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := rep.Finish(); err != nil {
 			b.Fatal(err)
 		}
-		incl, excl = invs[0].Inclusive(), invs[0].Exclusive()
+		rp := callstack.ProfileFromStreams(len(tr.Regions), []*callstack.StreamReplay{rep}).Regions[foo]
+		incl, excl = rp.SumInclusive, rp.SumExclusive
 	}
 	b.ReportMetric(float64(incl), "inclusive")
 	b.ReportMetric(float64(excl), "exclusive")
@@ -596,7 +603,7 @@ func BenchmarkFigReplayParallel(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			benchAtJobs(b, v.jobs, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := callstack.ReplayAll(tr); err != nil {
+					if _, err := callstack.ReplayTrace(context.Background(), tr); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -120,14 +121,14 @@ func fig1(string) error {
 	tr.Append(0, trace.Enter(2, bar))
 	tr.Append(0, trace.Leave(4, bar))
 	tr.Append(0, trace.Leave(6, foo))
-	invs, err := callstack.Replay(&tr.Procs[0])
+	prof, err := callstack.ProfileOf(context.Background(), tr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  foo: inclusive = %d, exclusive = %d (paper: 6 and 4)\n",
-		invs[0].Inclusive(), invs[0].Exclusive())
-	check("inclusive time of foo = 6", invs[0].Inclusive() == 6)
-	check("exclusive time of foo = 4", invs[0].Exclusive() == 4)
+	incl, excl := prof.Regions[foo].SumInclusive, prof.Regions[foo].SumExclusive
+	fmt.Printf("  foo: inclusive = %d, exclusive = %d (paper: 6 and 4)\n", incl, excl)
+	check("inclusive time of foo = 6", incl == 6)
+	check("exclusive time of foo = 4", excl == 4)
 	return nil
 }
 

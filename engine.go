@@ -93,10 +93,7 @@ func AnalyzeSource(ctx context.Context, src Source, opts Options) (*Result, erro
 	if bins == 0 {
 		bins = 20
 	}
-	isMPI := make([]bool, nregions)
-	for i, r := range h.Regions {
-		isMPI[i] = r.Paradigm == trace.ParadigmMPI
-	}
+	isMPI := callstack.ParadigmMask(h.Regions, trace.ParadigmMPI)
 
 	// The single pass: decode each rank once, feeding replay, candidate
 	// segmentation, MPI-interval recording, and (optionally) lint.
@@ -110,11 +107,7 @@ func AnalyzeSource(ctx context.Context, src Source, opts Options) (*Result, erro
 			rep:  callstack.NewStreamReplay(trace.Rank(rank), nregions),
 			cand: segment.NewCandidateSet(trace.Rank(rank), track, syncMask, opts.CandidateSegmentBudget),
 		}
-		// Maximal-interval tracking mirrors the materialized path's
-		// per-rank scan: an interval opens when MPI nesting depth leaves
-		// zero and closes when it returns.
-		mpiDepth := 0
-		var mpiStart trace.Time
+		inMPI := callstack.NewIntervalRecorder(isMPI)
 		feed := func(ev Event) error {
 			if lr != nil {
 				lr.FeedEvent(rank, ev)
@@ -128,21 +121,8 @@ func AnalyzeSource(ctx context.Context, src Source, opts Options) (*Result, erro
 				return err
 			}
 			if bins > 0 {
-				switch ev.Kind {
-				case trace.KindEnter:
-					if ev.Region >= 0 && int(ev.Region) < len(isMPI) && isMPI[ev.Region] {
-						if mpiDepth == 0 {
-							mpiStart = ev.Time
-						}
-						mpiDepth++
-					}
-				case trace.KindLeave:
-					if ev.Region >= 0 && int(ev.Region) < len(isMPI) && isMPI[ev.Region] {
-						mpiDepth--
-						if mpiDepth == 0 {
-							p.mpi = append(p.mpi, mpiStart, ev.Time)
-						}
-					}
+				if from, to, ok := inMPI.Feed(ev.Kind, ev.Region, ev.Time); ok {
+					p.mpi = append(p.mpi, from, to)
 				}
 			}
 			return nil

@@ -13,6 +13,7 @@ package perfvar
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -172,7 +173,7 @@ func TestGoldenOnline(t *testing.T) {
 func formatProfileGolden(t *testing.T, tr *Trace) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	prof, err := callstack.ProfileOf(tr)
+	prof, err := callstack.ProfileOf(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,26 +39,26 @@ func RankProfiles(tr *trace.Trace) ([]RankProfile, error) {
 }
 
 // RankProfilesContext is RankProfiles observing ctx between ranks: a
-// cancelled request stops the per-rank aggregation instead of finishing
-// the whole trace.
+// cancelled request stops the per-rank replay instead of finishing the
+// whole trace.
 func RankProfilesContext(ctx context.Context, tr *trace.Trace) ([]RankProfile, error) {
-	all, err := callstack.ReplayAll(tr)
+	reps, err := callstack.ReplayTrace(ctx, tr)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]RankProfile, tr.NumRanks())
-	for rank, invs := range all {
+	out := make([]RankProfile, len(reps))
+	for rank := range reps {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		prof := callstack.ProfileFromStreams(len(tr.Regions), reps[rank:rank+1])
 		rp := RankProfile{
 			Rank:              trace.Rank(rank),
 			ExclusiveByRegion: make([]float64, len(tr.Regions)),
 		}
-		for i := range invs {
-			excl := float64(invs[i].Exclusive())
-			rp.ExclusiveByRegion[invs[i].Region] += excl
-			rp.Total += excl
+		for id, reg := range prof.Regions {
+			rp.ExclusiveByRegion[id] = float64(reg.SumExclusive)
+			rp.Total += float64(reg.SumExclusive)
 		}
 		out[rank] = rp
 	}

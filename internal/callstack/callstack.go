@@ -1,8 +1,11 @@
-// Package callstack reconstructs function invocations from enter/leave
-// event streams. It yields per-invocation records with inclusive and
-// exclusive times (the distinction of the paper's Figure 1), parent/child
-// links, and flat per-region profiles used by dominant-function selection
-// and by the profiler baseline.
+// Package callstack replays enter/leave event streams into call stacks.
+// One kernel, StreamReplay, folds each rank's events into inclusive and
+// exclusive times per region (the distinction of the paper's Figure 1).
+// The flat per-region profile used by dominant-function selection, the
+// per-rank profiles of the profiler baseline and the calling-context tree
+// are all computed from it.
+// IntervalRecorder finds the maximal intervals a rank spends inside a set
+// of regions, such as MPI or synchronization.
 package callstack
 
 import (
@@ -14,21 +17,18 @@ import (
 	"perfvar/internal/trace"
 )
 
-// NoParent marks a top-level invocation.
-const NoParent int32 = -1
-
-// Replay's structural limits: parent links are stored as int32 and
-// depths as int16, so streams beyond these bounds cannot be represented.
-// Replay returns a *LimitError instead of silently corrupting links.
+// StreamReplay's structural limits: invocation counts and call-stack
+// depths beyond these bounds are rejected with a *LimitError, so that
+// consumers may store depths as int16.
 const (
-	// MaxInvocations is the largest per-rank invocation count Replay
+	// MaxInvocations is the largest per-rank invocation count replay
 	// supports.
 	MaxInvocations = math.MaxInt32
-	// MaxDepth is the deepest call stack Replay supports.
+	// MaxDepth is the deepest call stack replay supports.
 	MaxDepth = math.MaxInt16
 )
 
-// LimitError reports a stream that exceeds one of Replay's structural
+// LimitError reports a stream that exceeds one of replay's structural
 // limits (MaxInvocations or MaxDepth).
 type LimitError struct {
 	Rank  trace.Rank
@@ -38,105 +38,6 @@ type LimitError struct {
 
 func (e *LimitError) Error() string {
 	return fmt.Sprintf("callstack: rank %d: %s exceed the representable maximum %d", e.Rank, e.What, e.Limit)
-}
-
-// Invocation is one completed region invocation on one rank.
-type Invocation struct {
-	Region trace.RegionID
-	Rank   trace.Rank
-	Enter  trace.Time
-	Leave  trace.Time
-	// Parent indexes the invocations slice of the same rank, or NoParent.
-	Parent int32
-	// Depth is the call-stack depth, 0 for top-level invocations.
-	Depth int16
-	// ChildTime is the summed inclusive time of all direct children.
-	ChildTime trace.Duration
-	// Recursive reports whether an ancestor invocation has the same region
-	// (the invocation is self-nested). Aggregations that sum inclusive
-	// times skip recursive invocations to avoid double counting.
-	Recursive bool
-}
-
-// Inclusive returns the invocation's inclusive time: the complete duration
-// from enter to leave, including sub-calls.
-func (inv *Invocation) Inclusive() trace.Duration { return inv.Leave - inv.Enter }
-
-// Exclusive returns the invocation's exclusive time: the duration spent
-// directly inside the region, excluding sub-calls.
-func (inv *Invocation) Exclusive() trace.Duration { return inv.Inclusive() - inv.ChildTime }
-
-// Replay reconstructs the invocations of one process stream, in enter
-// order. It fails on unbalanced or improperly nested enter/leave events.
-func Replay(pt *trace.ProcessTrace) ([]Invocation, error) {
-	invs := make([]Invocation, 0, len(pt.Events)/2)
-	var stack []int32 // indices into invs
-	sameRegionDepth := make(map[trace.RegionID]int)
-	for i, ev := range pt.Events {
-		switch ev.Kind {
-		case trace.KindEnter:
-			if len(invs) >= MaxInvocations {
-				return nil, &LimitError{Rank: pt.Proc.Rank, What: "invocations", Limit: MaxInvocations}
-			}
-			if len(stack) > MaxDepth {
-				return nil, &LimitError{Rank: pt.Proc.Rank, What: "call-stack depth", Limit: MaxDepth}
-			}
-			parent := NoParent
-			if len(stack) > 0 {
-				parent = stack[len(stack)-1]
-			}
-			invs = append(invs, Invocation{
-				Region:    ev.Region,
-				Rank:      pt.Proc.Rank,
-				Enter:     ev.Time,
-				Parent:    parent,
-				Depth:     int16(len(stack)),
-				Recursive: sameRegionDepth[ev.Region] > 0,
-			})
-			stack = append(stack, int32(len(invs)-1))
-			sameRegionDepth[ev.Region]++
-		case trace.KindLeave:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("callstack: rank %d event %d: leave without enter", pt.Proc.Rank, i)
-			}
-			top := stack[len(stack)-1]
-			inv := &invs[top]
-			if inv.Region != ev.Region {
-				return nil, fmt.Errorf("callstack: rank %d event %d: leave region %d while inside %d",
-					pt.Proc.Rank, i, ev.Region, inv.Region)
-			}
-			if ev.Time < inv.Enter {
-				return nil, fmt.Errorf("callstack: rank %d event %d: leave at %d before enter at %d",
-					pt.Proc.Rank, i, ev.Time, inv.Enter)
-			}
-			inv.Leave = ev.Time
-			stack = stack[:len(stack)-1]
-			sameRegionDepth[ev.Region]--
-			if inv.Parent != NoParent {
-				invs[inv.Parent].ChildTime += inv.Inclusive()
-			}
-		}
-	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("callstack: rank %d: %d unclosed invocations", pt.Proc.Rank, len(stack))
-	}
-	return invs, nil
-}
-
-// ReplayAll reconstructs invocations for every rank of tr, fanning the
-// independent per-rank replays out across CPUs. The result is indexed by
-// rank; on failure the error of the lowest failing rank is returned (the
-// same one a serial rank loop would report).
-func ReplayAll(tr *trace.Trace) ([][]Invocation, error) {
-	return ReplayAllContext(context.Background(), tr)
-}
-
-// ReplayAllContext is ReplayAll observing ctx: a cancelled context stops
-// the per-rank fan-out between ranks and returns ctx.Err().
-func ReplayAllContext(ctx context.Context, tr *trace.Trace) ([][]Invocation, error) {
-	return parallel.MapCtx(ctx, tr.NumRanks(), func(rank int) ([]Invocation, error) {
-		return Replay(&tr.Procs[rank])
-	})
 }
 
 // RegionProfile aggregates all invocations of one region.
@@ -185,26 +86,19 @@ func newRankProfile(nregions int) rankProfile {
 	return part
 }
 
-// newProfile returns an empty profile with the MinInclusive sentinel set,
-// ready for mergeRankProfiles.
-func newProfile(nregions int) *Profile {
+// ProfileFromStreams merges finished per-rank accumulators, in rank
+// order, into the flat profile. All aggregations are exact integer sums
+// and min/max folds, so the result does not depend on how the ranks were
+// scheduled.
+func ProfileFromStreams(nregions int, parts []*StreamReplay) *Profile {
 	p := &Profile{Regions: make([]RegionProfile, nregions)}
 	for id := range p.Regions {
 		p.Regions[id].Region = trace.RegionID(id)
 		p.Regions[id].MinInclusive = -1
 	}
-	return p
-}
-
-// mergeRankProfiles folds per-rank partials into p in rank order. All
-// aggregations are exact integer sums and min/max folds, so the result is
-// identical to a serial single-pass accumulation — and identical whether
-// the partials came from materialized invocations (BuildProfile) or from
-// streaming replay (ProfileFromStreams).
-func mergeRankProfiles(p *Profile, partials []rankProfile) {
-	for _, part := range partials {
+	for _, sr := range parts {
 		for id := range p.Regions {
-			src, dst := &part.regions[id], &p.Regions[id]
+			src, dst := &sr.part.regions[id], &p.Regions[id]
 			dst.Count += src.Count
 			dst.SumInclusive += src.SumInclusive
 			dst.SumExclusive += src.SumExclusive
@@ -214,9 +108,12 @@ func mergeRankProfiles(p *Profile, partials []rankProfile) {
 			if src.MinInclusive >= 0 && (dst.MinInclusive < 0 || src.MinInclusive < dst.MinInclusive) {
 				dst.MinInclusive = src.MinInclusive
 			}
-			if part.seen[id] {
+			if sr.part.seen[id] {
 				dst.Ranks++
 			}
+		}
+		if sr.any {
+			p.TotalTime += sr.last - sr.first
 		}
 	}
 	for id := range p.Regions {
@@ -224,87 +121,32 @@ func mergeRankProfiles(p *Profile, partials []rankProfile) {
 			p.Regions[id].MinInclusive = 0
 		}
 	}
-}
-
-// BuildProfile computes the flat profile of tr from the given per-rank
-// invocations (as produced by ReplayAll). Per-rank partial profiles are
-// aggregated in parallel and merged in rank order; all aggregations are
-// exact integer sums and min/max folds, so the result is identical to a
-// serial single-pass accumulation.
-func BuildProfile(tr *trace.Trace, all [][]Invocation) *Profile {
-	p := newProfile(len(tr.Regions))
-	partials, _ := parallel.Map(len(all), func(rank int) (rankProfile, error) {
-		part := newRankProfile(len(tr.Regions))
-		invs := all[rank]
-		for i := range invs {
-			inv := &invs[i]
-			rp := &part.regions[inv.Region]
-			rp.Count++
-			if !inv.Recursive {
-				rp.SumInclusive += inv.Inclusive()
-			}
-			rp.SumExclusive += inv.Exclusive()
-			if incl := inv.Inclusive(); incl > rp.MaxInclusive {
-				rp.MaxInclusive = incl
-			}
-			if incl := inv.Inclusive(); rp.MinInclusive < 0 || incl < rp.MinInclusive {
-				rp.MinInclusive = incl
-			}
-			part.seen[inv.Region] = true
-		}
-		return part, nil
-	})
-	mergeRankProfiles(p, partials)
-	for rank := range tr.Procs {
-		f, l := tr.Procs[rank].Span()
-		p.TotalTime += l - f
-	}
 	return p
 }
 
-// ProfileOf is a convenience wrapper: replay all ranks and build the flat
-// profile in one step.
-func ProfileOf(tr *trace.Trace) (*Profile, error) {
-	return ProfileOfContext(context.Background(), tr)
+// ReplayTrace feeds every rank of the in-memory trace tr through its own
+// StreamReplay, fanning the ranks out with parallel.MapCtx, and returns
+// the finished accumulators in rank order. On failure it returns the
+// error of the lowest failing rank, the one a serial rank loop would
+// report; a cancelled ctx stops the fan-out between ranks.
+func ReplayTrace(ctx context.Context, tr *trace.Trace) ([]*StreamReplay, error) {
+	return parallel.MapCtx(ctx, tr.NumRanks(), func(rank int) (*StreamReplay, error) {
+		rep := NewStreamReplay(trace.Rank(rank), len(tr.Regions))
+		for _, ev := range tr.Procs[rank].Events {
+			if err := rep.Feed(ev); err != nil {
+				return nil, err
+			}
+		}
+		return rep, rep.Finish()
+	})
 }
 
-// ProfileOfContext is ProfileOf observing ctx; the replay fan-out — the
-// expensive phase — stops between ranks once ctx is cancelled.
-func ProfileOfContext(ctx context.Context, tr *trace.Trace) (*Profile, error) {
-	all, err := ReplayAllContext(ctx, tr)
+// ProfileOf returns the flat profile of the in-memory trace tr, replayed
+// by ReplayTrace.
+func ProfileOf(ctx context.Context, tr *trace.Trace) (*Profile, error) {
+	reps, err := ReplayTrace(ctx, tr)
 	if err != nil {
 		return nil, err
 	}
-	return BuildProfile(tr, all), nil
-}
-
-// TimeInParadigm sums, per rank, the wall-clock time spent inside regions
-// of paradigm par (counting each interval once even when such regions
-// nest). The result is indexed by rank. This powers the "fraction of MPI"
-// statistics of the case studies.
-func TimeInParadigm(tr *trace.Trace, par trace.Paradigm) []trace.Duration {
-	out := make([]trace.Duration, tr.NumRanks())
-	parallel.Do(tr.NumRanks(), func(rank int) {
-		depth := 0
-		var start trace.Time
-		for _, ev := range tr.Procs[rank].Events {
-			switch ev.Kind {
-			case trace.KindEnter:
-				if tr.Region(ev.Region).Paradigm == par {
-					if depth == 0 {
-						start = ev.Time
-					}
-					depth++
-				}
-			case trace.KindLeave:
-				if tr.Region(ev.Region).Paradigm == par {
-					depth--
-					if depth == 0 {
-						out[rank] += ev.Time - start
-					}
-				}
-			}
-		}
-	})
-	return out
+	return ProfileFromStreams(len(tr.Regions), reps), nil
 }

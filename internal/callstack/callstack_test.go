@@ -1,11 +1,15 @@
 package callstack
 
 import (
+	"context"
 	"errors"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"perfvar/internal/parallel"
 	"perfvar/internal/trace"
 )
 
@@ -25,69 +29,66 @@ func fig1Trace() (*trace.Trace, trace.RegionID, trace.RegionID) {
 
 func TestFig1InclusiveExclusive(t *testing.T) {
 	tr, foo, bar := fig1Trace()
-	invs, err := Replay(&tr.Procs[0])
+	p, err := ProfileOf(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(invs) != 2 {
-		t.Fatalf("got %d invocations, want 2", len(invs))
-	}
-	fooInv, barInv := invs[0], invs[1]
-	if fooInv.Region != foo || barInv.Region != bar {
-		t.Fatalf("region order: %+v", invs)
-	}
-	if got := fooInv.Inclusive(); got != 6 {
+	if got := p.Regions[foo].SumInclusive; got != 6 {
 		t.Errorf("foo inclusive = %d, want 6 (paper Fig. 1)", got)
 	}
-	if got := fooInv.Exclusive(); got != 4 {
+	if got := p.Regions[foo].SumExclusive; got != 4 {
 		t.Errorf("foo exclusive = %d, want 4 (paper Fig. 1)", got)
 	}
-	if got := barInv.Inclusive(); got != 2 {
+	if got := p.Regions[bar].SumInclusive; got != 2 {
 		t.Errorf("bar inclusive = %d, want 2", got)
 	}
-	if got := barInv.Exclusive(); got != 2 {
+	if got := p.Regions[bar].SumExclusive; got != 2 {
 		t.Errorf("bar exclusive = %d, want 2", got)
 	}
-	if barInv.Parent != 0 || fooInv.Parent != NoParent {
-		t.Errorf("parent links: foo=%d bar=%d", fooInv.Parent, barInv.Parent)
+	tree, err := CallTreeOf(tr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fooInv.Depth != 0 || barInv.Depth != 1 {
-		t.Errorf("depths: foo=%d bar=%d", fooInv.Depth, barInv.Depth)
+	if n := tree.Find("foo", "bar"); n == nil || len(tree.Roots) != 1 {
+		t.Errorf("call tree: bar is not foo's only child")
 	}
 }
 
-func TestReplayErrors(t *testing.T) {
-	tr := trace.New("bad", 1)
-	f := tr.AddRegion("f", trace.ParadigmUser, trace.RoleFunction)
-	g := tr.AddRegion("g", trace.ParadigmUser, trace.RoleFunction)
+// replayEvents feeds events through one StreamReplay of a trace with
+// nregions regions and finishes it, returning the first error.
+func replayEvents(nregions int, events []trace.Event) error {
+	rep := NewStreamReplay(0, nregions)
+	for _, ev := range events {
+		if err := rep.Feed(ev); err != nil {
+			return err
+		}
+	}
+	return rep.Finish()
+}
 
-	t.Run("leave without enter", func(t *testing.T) {
-		pt := trace.ProcessTrace{Events: []trace.Event{trace.Leave(1, f)}}
-		if _, err := Replay(&pt); err == nil {
-			t.Fatal("no error")
-		}
-	})
-	t.Run("mismatched leave", func(t *testing.T) {
-		pt := trace.ProcessTrace{Events: []trace.Event{trace.Enter(0, f), trace.Leave(1, g)}}
-		if _, err := Replay(&pt); err == nil {
-			t.Fatal("no error")
-		}
-	})
-	t.Run("unclosed", func(t *testing.T) {
-		pt := trace.ProcessTrace{Events: []trace.Event{trace.Enter(0, f)}}
-		if _, err := Replay(&pt); err == nil {
-			t.Fatal("no error")
-		}
-	})
-	t.Run("leave before enter", func(t *testing.T) {
-		pt := trace.ProcessTrace{Events: []trace.Event{
+func TestReplayErrors(t *testing.T) {
+	const f, g = trace.RegionID(0), trace.RegionID(1)
+	for _, tc := range []struct {
+		name   string
+		events []trace.Event
+		want   string
+	}{
+		{"leave without enter", []trace.Event{trace.Leave(1, f)}, "rank 0 event 0: leave without enter"},
+		{"mismatched leave", []trace.Event{trace.Enter(0, f), trace.Leave(1, g)}, "rank 0 event 1: leave region 1 while inside 0"},
+		{"unclosed", []trace.Event{trace.Enter(0, f)}, "rank 0: 1 unclosed invocations"},
+		{"leave before enter", []trace.Event{
 			{Time: 5, Kind: trace.KindEnter, Region: f},
 			{Time: 3, Kind: trace.KindLeave, Region: f},
-		}}
-		if _, err := Replay(&pt); err == nil {
-			t.Fatal("no error")
-		}
-	})
+		}, "rank 0 event 1: leave at 3 before enter at 5"},
+		{"undefined region", []trace.Event{trace.Enter(0, f), trace.Enter(1, 99)}, "rank 0 event 1: undefined region 99"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := replayEvents(2, tc.events)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error = %v, want it to contain %q", err, tc.want)
+			}
+		})
+	}
 }
 
 func TestRecursionFlag(t *testing.T) {
@@ -101,14 +102,10 @@ func TestRecursionFlag(t *testing.T) {
 	tr.Append(0, trace.Leave(8, f))
 	tr.Append(0, trace.Leave(9, g))
 	tr.Append(0, trace.Leave(10, f))
-	invs, err := Replay(&tr.Procs[0])
+	p, err := ProfileOf(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if invs[0].Recursive || invs[1].Recursive || !invs[2].Recursive {
-		t.Fatalf("recursion flags: %v %v %v", invs[0].Recursive, invs[1].Recursive, invs[2].Recursive)
-	}
-	p := BuildProfile(tr, [][]Invocation{invs})
 	// f: outer 10 counted, inner 6 skipped (recursive).
 	if got := p.Regions[f].SumInclusive; got != 10 {
 		t.Errorf("f SumInclusive = %d, want 10", got)
@@ -123,6 +120,10 @@ func TestRecursionFlag(t *testing.T) {
 	if got := p.Regions[g].SumExclusive; got != 2 {
 		t.Errorf("g SumExclusive = %d, want 2", got)
 	}
+	// The recursive invocation still counts toward the extremes.
+	if got := p.Regions[f].MinInclusive; got != 6 {
+		t.Errorf("f MinInclusive = %d, want 6", got)
+	}
 }
 
 func TestBuildProfile(t *testing.T) {
@@ -136,7 +137,7 @@ func TestBuildProfile(t *testing.T) {
 		tr.Append(rank, trace.Leave(3, g))
 		tr.Append(rank, trace.Leave(10, f))
 	}
-	p, err := ProfileOf(tr)
+	p, err := ProfileOf(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,29 +155,6 @@ func TestBuildProfile(t *testing.T) {
 	}
 	if p.TotalTime != 20 {
 		t.Fatalf("TotalTime = %d, want 20", p.TotalTime)
-	}
-}
-
-func TestTimeInParadigm(t *testing.T) {
-	tr := trace.New("mpi", 1)
-	main := tr.AddRegion("main", trace.ParadigmUser, trace.RoleFunction)
-	bar := tr.AddRegion("MPI_Barrier", trace.ParadigmMPI, trace.RoleBarrier)
-	wait := tr.AddRegion("MPI_Wait", trace.ParadigmMPI, trace.RoleWait)
-	tr.Append(0, trace.Enter(0, main))
-	tr.Append(0, trace.Enter(2, bar))
-	tr.Append(0, trace.Enter(3, wait)) // nested MPI: counted once
-	tr.Append(0, trace.Leave(5, wait))
-	tr.Append(0, trace.Leave(6, bar))
-	tr.Append(0, trace.Enter(8, wait))
-	tr.Append(0, trace.Leave(9, wait))
-	tr.Append(0, trace.Leave(10, main))
-	got := TimeInParadigm(tr, trace.ParadigmMPI)
-	if got[0] != 5 { // [2,6) + [8,9)
-		t.Fatalf("MPI time = %d, want 5", got[0])
-	}
-	user := TimeInParadigm(tr, trace.ParadigmUser)
-	if user[0] != 10 {
-		t.Fatalf("user time = %d, want 10", user[0])
 	}
 }
 
@@ -210,63 +188,134 @@ func buildRandomNested(seed int64) *trace.Trace {
 	return b.Trace()
 }
 
-// Property: for every invocation, 0 ≤ exclusive ≤ inclusive, children are
-// contained in their parents, and the sum of top-level inclusive times
-// equals the sum of all exclusive times.
+// refInv is one invocation of the recursive-descent reference replay.
+type refInv struct {
+	region       trace.RegionID
+	enter, leave trace.Time
+	children     []*refInv
+}
+
+// parseRef parses the properly nested invocations starting at events[i]
+// by recursive descent, returning them and the index after the last one.
+func parseRef(events []trace.Event, i int) ([]*refInv, int) {
+	var out []*refInv
+	for i < len(events) && events[i].Kind == trace.KindEnter {
+		inv := &refInv{region: events[i].Region, enter: events[i].Time}
+		inv.children, i = parseRef(events, i+1)
+		inv.leave = events[i].Time // the matching leave
+		i++
+		out = append(out, inv)
+	}
+	return out, i
+}
+
+// refProfile computes the flat profile and the call-path aggregates of a
+// one-rank trace from its reference invocation tree.
+func refProfile(tr *trace.Trace) (*Profile, map[string][3]trace.Duration) {
+	roots, _ := parseRef(tr.Procs[0].Events, 0)
+	p := &Profile{Regions: make([]RegionProfile, len(tr.Regions))}
+	for id := range p.Regions {
+		p.Regions[id].Region = trace.RegionID(id)
+	}
+	paths := map[string][3]trace.Duration{} // count, inclusive, exclusive
+	var walk func(invs []*refInv, path string, open map[trace.RegionID]bool)
+	walk = func(invs []*refInv, path string, open map[trace.RegionID]bool) {
+		for _, inv := range invs {
+			incl := inv.leave - inv.enter
+			excl := incl
+			for _, c := range inv.children {
+				excl -= c.leave - c.enter
+			}
+			rp := &p.Regions[inv.region]
+			if rp.Count == 0 || incl < rp.MinInclusive {
+				rp.MinInclusive = incl
+			}
+			rp.Count++
+			rp.Ranks = 1
+			if !open[inv.region] {
+				rp.SumInclusive += incl
+			}
+			rp.SumExclusive += excl
+			rp.MaxInclusive = max(rp.MaxInclusive, incl)
+			name := path + "/" + tr.Region(inv.region).Name
+			agg := paths[name]
+			paths[name] = [3]trace.Duration{agg[0] + 1, agg[1] + incl, agg[2] + excl}
+			wasOpen := open[inv.region]
+			open[inv.region] = true
+			walk(inv.children, name, open)
+			open[inv.region] = wasOpen
+		}
+	}
+	walk(roots, "", map[trace.RegionID]bool{})
+	first, last := tr.Procs[0].Span()
+	p.TotalTime = last - first
+	return p, paths
+}
+
+// Property: StreamReplay's profile and the call tree built on it agree
+// with a recursive-descent reference over random nested streams, every
+// node has 0 ≤ exclusive ≤ inclusive, and the roots' inclusive time sums
+// to the total exclusive time.
 func TestReplayInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		tr := buildRandomNested(seed)
-		invs, err := Replay(&tr.Procs[0])
+		prof, err := ProfileOf(context.Background(), tr)
 		if err != nil {
 			return false
 		}
-		var topIncl, allExcl trace.Duration
-		for i := range invs {
-			inv := &invs[i]
-			if inv.Exclusive() < 0 || inv.Exclusive() > inv.Inclusive() {
-				return false
-			}
-			if inv.Parent == NoParent {
-				topIncl += inv.Inclusive()
-			} else {
-				par := &invs[inv.Parent]
-				if inv.Enter < par.Enter || inv.Leave > par.Leave {
-					return false
-				}
-				if inv.Depth != par.Depth+1 {
-					return false
-				}
-			}
-			allExcl += inv.Exclusive()
+		tree, err := CallTreeOf(tr)
+		if err != nil {
+			return false
 		}
-		return topIncl == allExcl
+		wantProf, wantPaths := refProfile(tr)
+		if !reflect.DeepEqual(prof, wantProf) {
+			t.Logf("seed %d: profile %+v, reference %+v", seed, prof, wantProf)
+			return false
+		}
+		gotPaths := map[string][3]trace.Duration{}
+		var names []string
+		var allExcl trace.Duration
+		ok := true
+		tree.Walk(func(n *CallTreeNode, depth int) {
+			names = append(names[:depth], n.Name)
+			gotPaths["/"+strings.Join(names, "/")] = [3]trace.Duration{trace.Duration(n.Count), n.Inclusive, n.Exclusive}
+			ok = ok && n.Exclusive >= 0 && n.Exclusive <= n.Inclusive
+			allExcl += n.Exclusive
+		})
+		if !reflect.DeepEqual(gotPaths, wantPaths) {
+			t.Logf("seed %d: call paths %v, reference %v", seed, gotPaths, wantPaths)
+			return false
+		}
+		return ok && tree.TotalInclusive == allExcl
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestReplayAllPropagatesError(t *testing.T) {
-	tr := trace.New("bad", 2)
+	tr := trace.New("bad", 3)
 	f := tr.AddRegion("f", trace.ParadigmUser, trace.RoleFunction)
 	tr.Append(0, trace.Enter(0, f))
 	tr.Append(0, trace.Leave(1, f))
 	tr.Append(1, trace.Enter(0, f)) // unclosed
-	if _, err := ReplayAll(tr); err == nil {
-		t.Fatal("no error for unclosed rank 1")
+	tr.Append(2, trace.Leave(0, f)) // leave without enter
+	for _, jobs := range []int{1, 8} {
+		prev := parallel.SetJobs(jobs)
+		_, err := ReplayTrace(context.Background(), tr)
+		parallel.SetJobs(prev)
+		if err == nil || !strings.Contains(err.Error(), "rank 1: 1 unclosed invocations") {
+			t.Fatalf("jobs %d: error = %v, want rank 1's", jobs, err)
+		}
 	}
 }
 
-func TestTimeInParadigmMultiRank(t *testing.T) {
-	tr := trace.New("multi", 2)
-	mpi := tr.AddRegion("MPI_Barrier", trace.ParadigmMPI, trace.RoleBarrier)
-	tr.Append(0, trace.Enter(0, mpi))
-	tr.Append(0, trace.Leave(4, mpi))
-	tr.Append(1, trace.Enter(2, mpi))
-	tr.Append(1, trace.Leave(10, mpi))
-	got := TimeInParadigm(tr, trace.ParadigmMPI)
-	if got[0] != 4 || got[1] != 8 {
-		t.Fatalf("per-rank MPI time = %v", got)
+func TestReplayTraceCancelled(t *testing.T) {
+	tr, _, _ := fig1Trace()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := ReplayTrace(ctx, tr); !errors.Is(err, context.Canceled) {
+		t.Fatalf("error = %v, want context.Canceled", err)
 	}
 }
 
@@ -274,28 +323,32 @@ func TestProfileOfBrokenTrace(t *testing.T) {
 	tr := trace.New("broken", 1)
 	f := tr.AddRegion("f", trace.ParadigmUser, trace.RoleFunction)
 	tr.Append(0, trace.Enter(0, f))
-	if _, err := ProfileOf(tr); err == nil {
+	if _, err := ProfileOf(context.Background(), tr); err == nil {
 		t.Fatal("broken trace profiled")
 	}
 }
 
-// TestReplayDepthLimit is the regression test for the int16 depth field:
-// a synthetic stack one deeper than MaxDepth must yield a typed
-// *LimitError instead of a silently wrapped (negative) depth.
+// nestedEvents returns depth nested enters of region 0 followed by their
+// leaves.
+func nestedEvents(depth int) []trace.Event {
+	evs := make([]trace.Event, 0, 2*depth)
+	for i := 0; i < depth; i++ {
+		evs = append(evs, trace.Enter(int64(i), 0))
+	}
+	for i := 0; i < depth; i++ {
+		evs = append(evs, trace.Leave(int64(depth+i), 0))
+	}
+	return evs
+}
+
+// TestReplayDepthLimit: a stack one deeper than MaxDepth must yield a
+// typed *LimitError, so a consumer storing depths as int16 never sees a
+// wrapped (negative) depth.
 func TestReplayDepthLimit(t *testing.T) {
-	tr := trace.New("deep", 1)
-	f := tr.AddRegion("f", trace.ParadigmUser, trace.RoleFunction)
-	depth := MaxDepth + 2 // one level beyond the last representable depth
-	for i := 0; i < depth; i++ {
-		tr.Append(0, trace.Enter(int64(i), f))
-	}
-	for i := 0; i < depth; i++ {
-		tr.Append(0, trace.Leave(int64(depth+i), f))
-	}
-	_, err := Replay(&tr.Procs[0])
+	err := replayEvents(1, nestedEvents(MaxDepth+2)) // one level beyond the last representable depth
 	var le *LimitError
 	if !errors.As(err, &le) {
-		t.Fatalf("Replay error = %v, want *LimitError", err)
+		t.Fatalf("replay error = %v, want *LimitError", err)
 	}
 	if le.What != "call-stack depth" || le.Limit != MaxDepth || le.Rank != 0 {
 		t.Fatalf("LimitError = %+v", le)
@@ -305,20 +358,20 @@ func TestReplayDepthLimit(t *testing.T) {
 // TestReplayAtDepthLimit asserts the guard is not off by one: exactly
 // MaxDepth+1 nested invocations (depths 0..MaxDepth) still replay.
 func TestReplayAtDepthLimit(t *testing.T) {
-	tr := trace.New("deep-ok", 1)
-	f := tr.AddRegion("f", trace.ParadigmUser, trace.RoleFunction)
-	depth := MaxDepth + 1
-	for i := 0; i < depth; i++ {
-		tr.Append(0, trace.Enter(int64(i), f))
+	rep := NewStreamReplay(0, 1)
+	deepest := -1
+	for _, ev := range nestedEvents(MaxDepth + 1) {
+		if ev.Kind == trace.KindEnter {
+			deepest = rep.Depth()
+		}
+		if err := rep.Feed(ev); err != nil {
+			t.Fatalf("replay at the limit: %v", err)
+		}
 	}
-	for i := 0; i < depth; i++ {
-		tr.Append(0, trace.Leave(int64(depth+i), f))
+	if err := rep.Finish(); err != nil {
+		t.Fatal(err)
 	}
-	invs, err := Replay(&tr.Procs[0])
-	if err != nil {
-		t.Fatalf("Replay at the limit: %v", err)
-	}
-	if got := invs[len(invs)-1].Depth; got != MaxDepth {
-		t.Fatalf("deepest depth = %d, want %d", got, MaxDepth)
+	if deepest != MaxDepth {
+		t.Fatalf("deepest depth = %d, want %d", deepest, MaxDepth)
 	}
 }

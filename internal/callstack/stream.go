@@ -7,14 +7,11 @@ import (
 	"perfvar/internal/trace"
 )
 
-// Streaming replay: the fused decode→replay accumulator inside the
-// streaming analysis engine's single pass. Instead of materializing an
-// Invocation slice per rank (48 bytes per call), a StreamReplay folds one
-// rank's event stream directly into that rank's flat-profile partial.
-// Memory is O(call depth + regions), independent of trace length, and the
-// accumulation performs exactly the integer sums and min/max folds
-// BuildProfile performs per invocation — so the merged Profile is
-// byte-identical to the materialized path's.
+// Streaming replay: StreamReplay folds one rank's event stream directly
+// into that rank's flat-profile partial, so its memory is O(call depth +
+// regions), independent of trace length. It is the one call-stack
+// replay: the streaming engine, the linter, ReplayTrace and the call-tree
+// builder all feed it.
 
 // streamFrame is one open invocation on the streaming replay stack.
 type streamFrame struct {
@@ -46,10 +43,15 @@ func putScratch(s []int32) { scratchPool.Put(&s) }
 
 // StreamReplay accumulates one rank's profile contribution from its event
 // stream. Feed events in stream order, then call Finish; afterwards the
-// accumulator is one of the inputs to ProfileFromStreams. The structural
-// checks (balanced nesting, region match, time order within an
-// invocation, MaxInvocations/MaxDepth limits) mirror Replay exactly,
-// including error wording.
+// accumulator is one of the inputs to ProfileFromStreams. Feed rejects
+// undefined regions, a leave without enter, a leave of another region
+// than the innermost open one, a leave before its enter, and streams
+// beyond MaxInvocations or MaxDepth; Finish rejects unclosed invocations.
+//
+// Depth and Top describe the open call stack. Read before Feed, they tell
+// a consumer where an enter lands and which invocation a leave closes,
+// which is all the call-tree builder and the linter need beyond the
+// profile.
 type StreamReplay struct {
 	rank        trace.Rank
 	part        rankProfile
@@ -149,6 +151,21 @@ func (r *StreamReplay) Finish() error {
 	return nil
 }
 
+// Depth returns the number of open invocations: the call-stack depth an
+// enter fed next is recorded at.
+func (r *StreamReplay) Depth() int { return len(r.stack) }
+
+// Top describes the innermost open invocation: its region, enter time,
+// and the summed inclusive time of its completed children. ok is false
+// when no invocation is open.
+func (r *StreamReplay) Top() (region trace.RegionID, enter trace.Time, childTime trace.Duration, ok bool) {
+	if len(r.stack) == 0 {
+		return 0, 0, 0, false
+	}
+	fr := &r.stack[len(r.stack)-1]
+	return fr.region, fr.enter, fr.childTime, true
+}
+
 // Events returns how many events have been fed.
 func (r *StreamReplay) Events() int64 { return r.events }
 
@@ -156,23 +173,4 @@ func (r *StreamReplay) Events() int64 { return r.events }
 // false when no event was fed.
 func (r *StreamReplay) Span() (first, last trace.Time, ok bool) {
 	return r.first, r.last, r.any
-}
-
-// ProfileFromStreams merges finished per-rank accumulators, in rank
-// order, into the flat profile — the streaming counterpart of
-// BuildProfile, sharing its exact-integer merge so the two produce
-// byte-identical profiles.
-func ProfileFromStreams(nregions int, parts []*StreamReplay) *Profile {
-	p := newProfile(nregions)
-	partials := make([]rankProfile, len(parts))
-	for i, sr := range parts {
-		partials[i] = sr.part
-	}
-	mergeRankProfiles(p, partials)
-	for _, sr := range parts {
-		if sr.any {
-			p.TotalTime += sr.last - sr.first
-		}
-	}
-	return p
 }

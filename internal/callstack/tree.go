@@ -38,43 +38,52 @@ type CallTree struct {
 	rootIndex map[trace.RegionID]*CallTreeNode
 }
 
-// BuildCallTree merges the invocations of every rank into one
-// calling-context tree.
-func BuildCallTree(tr *trace.Trace, all [][]Invocation) *CallTree {
+// CallTreeOf builds the calling-context tree of tr while each rank's
+// events stream through a StreamReplay, ranks in order. A rank that does
+// not replay fails the build with the replay's error.
+func CallTreeOf(tr *trace.Trace) (*CallTree, error) {
 	t := &CallTree{rootIndex: make(map[trace.RegionID]*CallTreeNode)}
-	for _, invs := range all {
-		// nodeOf[i] is the tree node of invocation i (same rank).
-		nodeOf := make([]*CallTreeNode, len(invs))
-		for i := range invs {
-			inv := &invs[i]
-			var node *CallTreeNode
-			if inv.Parent == NoParent {
-				node = t.rootIndex[inv.Region]
-				if node == nil {
-					node = newNode(tr, inv.Region)
-					t.rootIndex[inv.Region] = node
-					t.Roots = append(t.Roots, node)
-				}
-			} else {
-				parent := nodeOf[inv.Parent]
-				node = parent.index[inv.Region]
-				if node == nil {
-					node = newNode(tr, inv.Region)
-					parent.index[inv.Region] = node
-					parent.Children = append(parent.Children, node)
-				}
+	var path []*CallTreeNode // the tree node of every open invocation
+	for rank := range tr.Procs {
+		rep := NewStreamReplay(trace.Rank(rank), len(tr.Regions))
+		path = path[:0]
+		for _, ev := range tr.Procs[rank].Events {
+			_, enter, childTime, _ := rep.Top()
+			if err := rep.Feed(ev); err != nil {
+				return nil, err
 			}
-			node.Count++
-			node.Inclusive += inv.Inclusive()
-			node.Exclusive += inv.Exclusive()
-			nodeOf[i] = node
+			switch ev.Kind {
+			case trace.KindEnter:
+				index, siblings := t.rootIndex, &t.Roots
+				if len(path) > 0 {
+					parent := path[len(path)-1]
+					index, siblings = parent.index, &parent.Children
+				}
+				node := index[ev.Region]
+				if node == nil {
+					node = newNode(tr, ev.Region)
+					index[ev.Region] = node
+					*siblings = append(*siblings, node)
+				}
+				path = append(path, node)
+			case trace.KindLeave:
+				node := path[len(path)-1]
+				path = path[:len(path)-1]
+				incl := ev.Time - enter
+				node.Count++
+				node.Inclusive += incl
+				node.Exclusive += incl - childTime
+			}
+		}
+		if err := rep.Finish(); err != nil {
+			return nil, err
 		}
 	}
 	t.sortRec()
 	for _, r := range t.Roots {
 		t.TotalInclusive += r.Inclusive
 	}
-	return t
+	return t, nil
 }
 
 func newNode(tr *trace.Trace, r trace.RegionID) *CallTreeNode {
@@ -99,15 +108,6 @@ func (t *CallTree) sortRec() {
 		}
 	}
 	rec(t.Roots)
-}
-
-// CallTreeOf builds the calling-context tree directly from a trace.
-func CallTreeOf(tr *trace.Trace) (*CallTree, error) {
-	all, err := ReplayAll(tr)
-	if err != nil {
-		return nil, err
-	}
-	return BuildCallTree(tr, all), nil
 }
 
 // Find returns the node at the given call path (region names from a

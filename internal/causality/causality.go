@@ -37,6 +37,7 @@ import (
 	"sort"
 	"sync"
 
+	"perfvar/internal/callstack"
 	"perfvar/internal/core/segment"
 	"perfvar/internal/parallel"
 	"perfvar/internal/trace"
@@ -249,10 +250,9 @@ type RankScanner struct {
 	recvWaits []recvWaitRec
 	colls     []collOcc
 
-	i         int // index of the next event fed
-	syncDepth int
-	syncStart trace.Time
-	lastRecv  trace.Time // completion of the previous recv in the open sync scope
+	i         int                         // index of the next event fed
+	sync      *callstack.IntervalRecorder // maximal intervals inside synchronization regions
+	lastRecv  trace.Time                  // completion of the previous recv in the open sync scope
 	haveRecv  bool
 	openColls []int // indices into colls
 	occCount  map[trace.RegionID]int
@@ -278,6 +278,7 @@ func (s *RankScanner) waitOf(i int) (trace.Time, bool) {
 func NewRankScanner(regions []trace.Region) *RankScanner {
 	return &RankScanner{
 		regions:  regions,
+		sync:     callstack.NewIntervalRecorder(segment.SyncMask(regions, nil)),
 		occCount: map[trace.RegionID]int{},
 	}
 }
@@ -287,19 +288,15 @@ func NewRankScanner(regions []trace.Region) *RankScanner {
 func (s *RankScanner) Feed(ev trace.Event) {
 	i := s.i
 	s.i++
+	if _, _, closed := s.sync.Feed(ev.Kind, ev.Region, ev.Time); closed {
+		s.haveRecv = false // the next sync scope starts without a receive
+	}
 	switch ev.Kind {
 	case trace.KindEnter:
 		if ev.Region < 0 || int(ev.Region) >= len(s.regions) {
 			return
 		}
 		r := s.regions[ev.Region]
-		if segment.DefaultSync.IsSync(r) {
-			if s.syncDepth == 0 {
-				s.syncStart = ev.Time
-				s.haveRecv = false
-			}
-			s.syncDepth++
-		}
 		if r.Role == trace.RoleBarrier || r.Role == trace.RoleCollective {
 			s.colls = append(s.colls, collOcc{
 				region: ev.Region, occ: s.occCount[ev.Region],
@@ -313,12 +310,6 @@ func (s *RankScanner) Feed(ev trace.Event) {
 			return
 		}
 		r := s.regions[ev.Region]
-		if segment.DefaultSync.IsSync(r) && s.syncDepth > 0 {
-			s.syncDepth--
-			if s.syncDepth == 0 {
-				s.haveRecv = false
-			}
-		}
 		if r.Role == trace.RoleBarrier || r.Role == trace.RoleCollective {
 			// Close the innermost open occurrence of this region.
 			for j := len(s.openColls) - 1; j >= 0; j-- {
@@ -331,10 +322,10 @@ func (s *RankScanner) Feed(ev trace.Event) {
 			}
 		}
 	case trace.KindRecv:
-		if s.syncDepth == 0 {
+		eff, open := s.sync.Open()
+		if !open {
 			return // not inside a synchronization region: no measurable wait
 		}
-		eff := s.syncStart
 		if s.haveRecv && s.lastRecv > eff {
 			eff = s.lastRecv // a Waitall's second wait starts when the first message landed
 		}

@@ -118,7 +118,7 @@ func Select(tr *trace.Trace, opts Options) (Selection, error) {
 // SelectContext is Select observing ctx through the underlying profile
 // replay, so a cancelled analysis request stops selecting early.
 func SelectContext(ctx context.Context, tr *trace.Trace, opts Options) (Selection, error) {
-	prof, err := callstack.ProfileOfContext(ctx, tr)
+	prof, err := callstack.ProfileOf(ctx, tr)
 	if err != nil {
 		if ctx.Err() != nil {
 			return Selection{}, ctx.Err()

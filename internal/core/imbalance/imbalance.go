@@ -10,6 +10,7 @@ import (
 	"math"
 	"sort"
 
+	"perfvar/internal/callstack"
 	"perfvar/internal/core/segment"
 	"perfvar/internal/parallel"
 	"perfvar/internal/stats"
@@ -350,36 +351,8 @@ func ParadigmFractionTimeline(tr *trace.Trace, par trace.Paradigm, bins int) []f
 	}
 	first, last := tr.Span()
 	bn := NewBinner(first, last, bins)
-	eachParadigmInterval(tr, par, bn.AddInterval)
+	callstack.EachInterval(tr, callstack.ParadigmMask(tr.Regions, par), bn.AddInterval)
 	return bn.Fractions(tr.NumRanks())
-}
-
-// eachParadigmInterval calls fn with every rank's maximal intervals
-// inside regions of paradigm par: an interval opens when the nesting
-// depth of such regions leaves zero and closes when it returns.
-func eachParadigmInterval(tr *trace.Trace, par trace.Paradigm, fn func(from, to trace.Time)) {
-	for rank := range tr.Procs {
-		depth := 0
-		var start trace.Time
-		for _, ev := range tr.Procs[rank].Events {
-			switch ev.Kind {
-			case trace.KindEnter:
-				if tr.Region(ev.Region).Paradigm == par {
-					if depth == 0 {
-						start = ev.Time
-					}
-					depth++
-				}
-			case trace.KindLeave:
-				if tr.Region(ev.Region).Paradigm == par {
-					depth--
-					if depth == 0 {
-						fn(start, ev.Time)
-					}
-				}
-			}
-		}
-	}
 }
 
 // Binner accumulates, per equal-width time bin of the span [first, last],
@@ -456,7 +429,7 @@ func ParadigmFractionBetween(tr *trace.Trace, par trace.Paradigm, from, to trace
 	}
 	// int64 until the final division, as in ParadigmFractionTimeline.
 	var inPar trace.Duration
-	eachParadigmInterval(tr, par, func(a, b trace.Time) {
+	callstack.EachInterval(tr, callstack.ParadigmMask(tr.Regions, par), func(a, b trace.Time) {
 		if lo, hi := max(a, from), min(b, to); hi > lo {
 			inPar += hi - lo
 		}

@@ -32,7 +32,7 @@ import (
 // wall-clock instant counted once however deeply sync regions nest.
 //
 // Error contract: Feed rejects an undefined region, an enter that would
-// nest deeper than callstack.MaxDepth (the bound Replay enforces, which
+// nest deeper than callstack.MaxDepth (the bound StreamReplay enforces, which
 // also caps a rank's stack memory), a leave on an empty stack, and a leave
 // that does not match the open frame; StreamSegmenter.Finish rejects its
 // region still open at the end. Every message names the rank and the

@@ -12,7 +12,7 @@
 // one shared streaming sweep over the per-rank event streams — whether
 // the trace is materialized in memory (Run) or decoded frame-by-frame
 // from an archive (RunSource) — and maintains compact summary facts
-// (structural issues, per-rank op summaries, replay mirrors, message
+// (structural issues, per-rank op summaries, call-stack replay, message
 // matching, dominant-function selection) so analyzers do not redo
 // O(events) work and never need the full event history. The runner
 // collects every diagnostic — not just the first violation — into one

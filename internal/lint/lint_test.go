@@ -440,6 +440,48 @@ func TestAnalyzers(t *testing.T) {
 	}
 }
 
+// TestUnreplayableRankYieldsNoStackFacts pins that the zero-duration
+// and sync-depth facts come from the call-stack replay: a rank whose
+// stream names an undefined region does not replay, so it contributes
+// neither, the same as it contributes no dominant selection. Only the
+// nesting analyzer reports it.
+func TestUnreplayableRankYieldsNoStackFacts(t *testing.T) {
+	tr := trace.New("undefined-zero", 2)
+	main := tr.AddRegion("main", trace.ParadigmUser, trace.RoleFunction)
+	bar := tr.AddRegion("MPI_Barrier", trace.ParadigmMPI, trace.RoleBarrier)
+	tr.Append(0, trace.Enter(0, main))
+	tr.Append(0, trace.Enter(10, 99)) // balanced, zero-length, undefined
+	tr.Append(0, trace.Enter(10, bar))
+	tr.Append(0, trace.Leave(10, bar))
+	tr.Append(0, trace.Leave(10, 99))
+	tr.Append(0, trace.Leave(20, main))
+	tr.Append(1, trace.Enter(0, main))
+	tr.Append(1, trace.Enter(10, bar))
+	tr.Append(1, trace.Leave(10, bar))
+	tr.Append(1, trace.Leave(20, main))
+	res := Run(tr, Options{})
+	var undefined, zeros int
+	for _, d := range res.Diagnostics {
+		switch {
+		case d.Code == "undefined-region" && d.Rank == 0:
+			undefined++
+		case d.Code == "zero-duration":
+			zeros++
+			if d.Rank != 1 || d.Message != `1 zero-duration invocation(s) of "MPI_Barrier"` {
+				t.Errorf("unexpected zero-duration finding: rank %d: %s", d.Rank, d.Message)
+			}
+		case d.Code == "inconsistent-sync-depth":
+			t.Errorf("sync depth compared against an unreplayable rank: %s", d.Message)
+		}
+	}
+	if undefined == 0 {
+		t.Errorf("nesting analyzer did not flag the undefined region: %+v", res.Diagnostics)
+	}
+	if zeros != 1 {
+		t.Errorf("got %d zero-duration findings, want 1 (rank 1's barrier)", zeros)
+	}
+}
+
 func TestRunSubsetAndSeverityFilter(t *testing.T) {
 	tr := cleanTrace()
 	tr.Procs[0].Events[0].Region = 99 // nesting error

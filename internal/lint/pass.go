@@ -115,7 +115,7 @@ func (p *Pass) ClockPairs() []clockfix.Pair {
 // sorted by region id, or an error when the rank's stream does not
 // replay into proper call stacks.
 func (p *Pass) ZeroDurations(rank trace.Rank) ([]ZeroRegion, error) {
-	if err := p.facts.mirrorErr[rank]; err != nil {
+	if err := p.facts.replayErr[rank]; err != nil {
 		return nil, err
 	}
 	return p.facts.zeros[rank], nil
@@ -125,7 +125,7 @@ func (p *Pass) ZeroDurations(rank trace.Rank) ([]ZeroRegion, error) {
 // depth) observations in first-enter order, or an error when the rank's
 // stream does not replay into proper call stacks.
 func (p *Pass) SyncDepths(rank trace.Rank) ([]SyncDepth, error) {
-	if err := p.facts.mirrorErr[rank]; err != nil {
+	if err := p.facts.replayErr[rank]; err != nil {
 		return nil, err
 	}
 	return p.facts.syncs[rank], nil
@@ -231,7 +231,7 @@ type facts struct {
 
 	zeros     [][]ZeroRegion
 	syncs     [][]SyncDepth
-	mirrorErr []error
+	replayErr []error
 
 	scans []*causality.RankScanner
 

@@ -63,7 +63,7 @@ type StreamRun struct {
 // the driver skips collectors nobody reads. Unknown (external) analyzer
 // names enable everything — they may consult any fact.
 type needs struct {
-	ops, replay, mirror, scan, sel bool
+	ops, replay, scan, sel bool
 }
 
 func needsOf(analyzers []Analyzer) needs {
@@ -75,13 +75,13 @@ func needsOf(analyzers []Analyzer) needs {
 		case "msgmatch", "commdeadlock", "clockskew":
 			n.ops = true
 		case "zeroseg", "syncdepth":
-			n.mirror = true
+			n.replay = true
 		case "dominance":
 			n.sel = true
 		case "latesender", "waitchain":
 			n.sel, n.scan, n.ops = true, true, true
 		default:
-			return needs{ops: true, replay: true, mirror: true, scan: true, sel: true}
+			return needs{ops: true, replay: true, scan: true, sel: true}
 		}
 	}
 	n.replay = n.replay || n.sel
@@ -97,7 +97,9 @@ type rankCollector struct {
 	ops       []opRec
 	replay    *callstack.StreamReplay
 	replayErr error
-	mirror    *replayMirror
+	zeros     map[trace.RegionID]*ZeroRegion
+	syncs     []SyncDepth
+	syncSeen  map[SyncDepth]bool
 	scan      *causality.RankScanner
 }
 
@@ -123,7 +125,7 @@ func newStreamRun(h *trace.Header, nranks int, tr *trace.Trace, opts Options) *S
 		counts:     make([]int, nranks),
 		zeros:      make([][]ZeroRegion, nranks),
 		syncs:      make([][]SyncDepth, nranks),
-		mirrorErr:  make([]error, nranks),
+		replayErr:  make([]error, nranks),
 	}
 	r := &StreamRun{analyzers: analyzers, opts: opts, facts: f, need: needsOf(analyzers)}
 	if r.need.ops {
@@ -152,9 +154,6 @@ func newStreamRun(h *trace.Header, nranks int, tr *trace.Trace, opts Options) *S
 		if r.need.replay {
 			c.replay = callstack.NewStreamReplay(trace.Rank(rank), len(h.Regions))
 		}
-		if r.need.mirror {
-			c.mirror = &replayMirror{regions: h.Regions}
-		}
 		if r.need.scan {
 			c.scan = causality.NewRankScanner(h.Regions)
 		}
@@ -180,10 +179,7 @@ func (r *StreamRun) FeedEvent(rank int, ev trace.Event) {
 		})
 	}
 	if c.replay != nil && c.replayErr == nil {
-		c.replayErr = c.replay.Feed(ev)
-	}
-	if c.mirror != nil {
-		c.mirror.feed(ev)
+		c.feedReplay(r.facts.header.Regions, ev)
 	}
 	if c.scan != nil {
 		c.scan.Feed(ev)
@@ -212,14 +208,13 @@ func (r *StreamRun) EndRank(rank int) {
 		c.ops = nil
 		opScratch.Put(&s)
 	}
-	if c.replay != nil && c.replayErr == nil {
-		c.replayErr = c.replay.Finish()
-	}
-	if c.mirror != nil {
-		c.mirror.finishRank()
-		f.zeros[rank] = c.mirror.zeroRegions()
-		f.syncs[rank] = c.mirror.syncs
-		f.mirrorErr[rank] = c.mirror.err
+	if c.replay != nil {
+		if c.replayErr == nil {
+			c.replayErr = c.replay.Finish()
+		}
+		f.zeros[rank] = c.zeroRegions()
+		f.syncs[rank] = c.syncs
+		f.replayErr[rank] = c.replayErr
 	}
 	if c.scan != nil {
 		f.scans[rank] = c.scan
@@ -464,112 +459,55 @@ func (r *StreamRun) feedError(i int) error {
 	return nil
 }
 
-// replayMirror tracks the call-stack state callstack.Replay would build,
-// without materializing invocations, to derive the zeroseg and
-// syncdepth facts. Unlike StreamReplay it does not validate region ids
-// (Replay does not either); undefined regions are caught by the
-// structural checker, which gates every consumer of these facts.
-type replayMirror struct {
-	regions []trace.Region
-	stack   []mirrorFrame
-	entered int64
-	err     error
-
-	zero     map[trace.RegionID]*zeroAgg
-	syncs    []SyncDepth
-	syncSeen map[SyncDepth]bool
-}
-
-type mirrorFrame struct {
-	region trace.RegionID
-	enter  trace.Time
-	seq    int64 // enter-order sequence number
-}
-
-type zeroAgg struct {
-	count int
-	seq   int64
-	first trace.Time
-}
-
-func (m *replayMirror) feed(ev trace.Event) {
-	if m.err != nil {
+// feedReplay advances the rank's call-stack replay by ev and derives the
+// zero-duration and sync-depth facts from the open frame read before the
+// event: the depth an enter lands at, and the enter time of the
+// invocation a leave closes. A zero-duration invocation is one whose
+// leave time equals its enter time; zero-duration invocations of one
+// region nest only at a single timestamp, so the first one to close has
+// the enter time of the first one entered.
+func (c *rankCollector) feedReplay(regions []trace.Region, ev trace.Event) {
+	depth := c.replay.Depth()
+	_, enter, _, _ := c.replay.Top()
+	if c.replayErr = c.replay.Feed(ev); c.replayErr != nil {
 		return
 	}
 	switch ev.Kind {
 	case trace.KindEnter:
-		if m.entered >= callstack.MaxInvocations {
-			m.err = fmt.Errorf("lint: too many invocations")
-			return
-		}
-		if len(m.stack) > callstack.MaxDepth {
-			m.err = fmt.Errorf("lint: call stack too deep")
-			return
-		}
-		if id := ev.Region; id >= 0 && int(id) < len(m.regions) {
-			role := m.regions[id].Role
-			if role == trace.RoleBarrier || role == trace.RoleCollective {
-				key := SyncDepth{Region: id, Depth: int16(len(m.stack))}
-				if !m.syncSeen[key] {
-					if m.syncSeen == nil {
-						m.syncSeen = make(map[SyncDepth]bool)
-					}
-					m.syncSeen[key] = true
-					m.syncs = append(m.syncs, key)
+		if role := regions[ev.Region].Role; role == trace.RoleBarrier || role == trace.RoleCollective {
+			key := SyncDepth{Region: ev.Region, Depth: int16(depth)}
+			if !c.syncSeen[key] {
+				if c.syncSeen == nil {
+					c.syncSeen = make(map[SyncDepth]bool)
 				}
+				c.syncSeen[key] = true
+				c.syncs = append(c.syncs, key)
 			}
 		}
-		m.stack = append(m.stack, mirrorFrame{region: ev.Region, enter: ev.Time, seq: m.entered})
-		m.entered++
 	case trace.KindLeave:
-		if len(m.stack) == 0 {
-			m.err = fmt.Errorf("lint: leave without enter")
+		if ev.Time != enter {
 			return
 		}
-		top := m.stack[len(m.stack)-1]
-		if top.region != ev.Region {
-			m.err = fmt.Errorf("lint: mismatched leave")
+		if z := c.zeros[ev.Region]; z != nil {
+			z.Count++
 			return
 		}
-		if ev.Time < top.enter {
-			m.err = fmt.Errorf("lint: leave before enter")
-			return
+		if c.zeros == nil {
+			c.zeros = make(map[trace.RegionID]*ZeroRegion)
 		}
-		m.stack = m.stack[:len(m.stack)-1]
-		if ev.Time == top.enter {
-			z := m.zero[top.region]
-			if z == nil {
-				if m.zero == nil {
-					m.zero = make(map[trace.RegionID]*zeroAgg)
-				}
-				m.zero[top.region] = &zeroAgg{count: 1, seq: top.seq, first: top.enter}
-			} else {
-				z.count++
-				if top.seq < z.seq {
-					z.seq, z.first = top.seq, top.enter
-				}
-			}
-		}
-	}
-}
-
-func (m *replayMirror) finishRank() {
-	if m.err == nil && len(m.stack) != 0 {
-		m.err = fmt.Errorf("lint: unclosed invocations at end of stream")
+		c.zeros[ev.Region] = &ZeroRegion{Region: ev.Region, Count: 1, First: enter}
 	}
 }
 
 // zeroRegions returns the rank's zero-duration aggregates sorted by
-// region id, First being the enter time of the earliest (in enter
-// order) zero-duration invocation — the same element a scan over
-// Replay's enter-ordered invocation list finds first.
-func (m *replayMirror) zeroRegions() []ZeroRegion {
-	if len(m.zero) == 0 {
+// region id.
+func (c *rankCollector) zeroRegions() []ZeroRegion {
+	if len(c.zeros) == 0 {
 		return nil
 	}
-	out := make([]ZeroRegion, 0, len(m.zero))
-	for id, z := range m.zero {
-		out = append(out, ZeroRegion{Region: id, Count: z.count, First: z.first})
+	out := make([]ZeroRegion, 0, len(c.zeros))
+	for _, z := range c.zeros {
+		out = append(out, *z)
 	}
 	sortSlice(out, func(a, b ZeroRegion) bool { return a.Region < b.Region })
 	return out

@@ -787,7 +787,7 @@ func (s *Server) serveProfile(ctx context.Context, w http.ResponseWriter, r *htt
 		if err := tr.Validate(); err != nil {
 			return nil, err
 		}
-		prof, err := callstack.ProfileOfContext(cctx, tr)
+		prof, err := callstack.ProfileOf(cctx, tr)
 		if err != nil {
 			return nil, err
 		}

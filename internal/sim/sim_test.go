@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -35,7 +36,7 @@ func TestRunBasicCompute(t *testing.T) {
 	if !ok {
 		t.Fatal("work region missing")
 	}
-	prof, err := callstack.ProfileOf(tr)
+	prof, err := callstack.ProfileOf(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

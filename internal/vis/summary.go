@@ -1,6 +1,7 @@
 package vis
 
 import (
+	"context"
 	"image"
 	"sort"
 
@@ -17,7 +18,7 @@ import (
 func FunctionSummary(tr *trace.Trace, topN int, opts RenderOptions) *Image {
 	o := opts.withDefaults()
 	img := newCanvas(o)
-	prof, err := callstack.ProfileOf(tr)
+	prof, err := callstack.ProfileOf(context.Background(), tr)
 	if err != nil {
 		return img
 	}

@@ -8,6 +8,7 @@ package perfvar
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -55,7 +56,7 @@ func TestParallelPipelineEquivalence(t *testing.T) {
 			}
 			run := func(jobs int) outcome {
 				return atJobs(jobs, func() outcome {
-					profile, err := callstack.ProfileOf(tr)
+					profile, err := callstack.ProfileOf(context.Background(), tr)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -2,10 +2,14 @@ package perfvar
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"perfvar/internal/baseline"
+	"perfvar/internal/callstack"
+	"perfvar/internal/trace"
 	"perfvar/internal/workloads"
 )
 
@@ -571,4 +575,42 @@ func TestHistogramBinEdgeCases(t *testing.T) {
 			t.Fatalf("Histogram(bins=%d) returned an empty image", bins)
 		}
 	}
+}
+
+// TestUndefinedRegionReplayErrors: every profile and call-tree entry
+// point over an in-memory trace whose enter/leave names an undefined
+// region reports the replay's "undefined region" error instead of
+// indexing past the region table, and the function summary renders its
+// blank canvas.
+func TestUndefinedRegionReplayErrors(t *testing.T) {
+	tr := trace.New("undefined", 2)
+	main := tr.AddRegion("main", trace.ParadigmUser, trace.RoleFunction)
+	tr.Append(0, trace.Enter(0, main))
+	tr.Append(0, trace.Leave(10, main))
+	tr.Append(1, trace.Enter(0, main))
+	tr.Append(1, trace.Enter(2, 99))
+	tr.Append(1, trace.Leave(4, 99))
+	tr.Append(1, trace.Leave(10, main))
+	const want = "callstack: rank 1 event 1: undefined region 99"
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"callstack.ProfileOf", func() error { _, err := callstack.ProfileOf(context.Background(), tr); return err }},
+		{"callstack.CallTreeOf", func() error { _, err := callstack.CallTreeOf(tr); return err }},
+		{"BuildCallTree", func() error { _, err := BuildCallTree(tr); return err }},
+		{"baseline.RankProfiles", func() error { _, err := baseline.RankProfiles(tr); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(); err == nil || err.Error() != want {
+				t.Fatalf("error = %v, want %q", err, want)
+			}
+		})
+	}
+	t.Run("FunctionSummary", func(t *testing.T) {
+		blank := FunctionSummary(trace.New("empty", 1), 10, RenderOptions{})
+		if got := FunctionSummary(tr, 10, RenderOptions{}); !bytes.Equal(got.Pix, blank.Pix) {
+			t.Fatal("function summary of an unreplayable trace is not the blank canvas")
+		}
+	})
 }
