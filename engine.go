@@ -219,10 +219,15 @@ func AnalyzeSource(ctx context.Context, src Source, opts Options) (*Result, erro
 	// too, the lint region is itself a candidate, so its segments are
 	// already buffered — adopt them instead of re-streaming. Only a
 	// custom SyncPrefixes classifier (different masks) or an eviction
-	// leaves lint needing the second look at the streams.
+	// leaves lint needing the second look at the streams. When lint
+	// segments at the engine's own region, it shares the winner's slices
+	// rather than having the candidate sets build them again.
 	lintSeg := lr != nil && lr.BeginSegments()
 	if lintSeg && cls == nil {
-		if lreg, ok := lr.SegmentTarget(); ok {
+		if lreg, ok := lr.SegmentTarget(); ok && lreg == region && !fallback {
+			lr.AdoptSegments(perRank)
+			lintSeg = false
+		} else if ok {
 			adopt := make([][]Segment, nranks)
 			adoptOK := true
 			for rank, p := range parts {

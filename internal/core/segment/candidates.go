@@ -42,7 +42,7 @@ import (
 
 // DefaultCandidateBudget bounds, per rank, the segment records a
 // CandidateSet buffers across all candidate regions before it starts
-// evicting: 1<<16 records ≈ 3 MiB. Well-structured traces stay far
+// evicting: 1<<16 records ≈ 1.5 MiB. Well-structured traces stay far
 // below it — the budget exists so adversarial traces degrade to a
 // second pass instead of to unbounded memory.
 const DefaultCandidateBudget = 1 << 16
@@ -56,6 +56,24 @@ type candFrame struct {
 	topLevel bool           // outermost open invocation of a tracked region
 }
 
+// segRec is one buffered segment: its rank is the set's and its Index
+// the record's position in its slot, so neither is stored.
+type segRec struct {
+	start, end trace.Time
+	sync       trace.Duration
+}
+
+// A slot buffers its records in chunks of minChunk, 2×minChunk, …
+// records up to maxChunk, then maxChunk each. A full chunk is left as it
+// is and a new one started, so a record is never copied before Segments
+// builds the caller's slice, and a candidate that is evicted or loses
+// selection costs at most its records plus one partly filled chunk.
+const (
+	minChunk    = 16
+	maxChunk    = 4096
+	chunkGrowth = 8 // minChunk<<chunkGrowth == maxChunk
+)
+
 // CandidateSet segments one rank's event stream at every tracked region
 // at once. Feed events in stream order; after the stream ends, Segments
 // returns the completed segment list of any tracked region that stayed
@@ -68,7 +86,7 @@ type CandidateSet struct {
 	// Segment.Index, or -1 once evicted), and buffered segments.
 	open   []int32
 	count  []int
-	segs   [][]Segment
+	segs   [][][]segRec
 	stack  []candFrame
 	events int // events accepted so far, the next event index
 	stored int
@@ -141,7 +159,7 @@ func newCandidateSet(rank trace.Rank, slot []int32, n int, syncMask []bool, budg
 		name:   name,
 	}
 	if emit == nil {
-		c.segs = make([][]Segment, n)
+		c.segs = make([][][]segRec, n)
 	}
 	return c
 }
@@ -225,13 +243,24 @@ func (c *CandidateSet) emit(r trace.RegionID, slot int32, start, end trace.Time,
 	if c.count[slot] < 0 {
 		return // evicted
 	}
-	seg := Segment{Rank: c.rank, Index: c.count[slot], Start: start, End: end, Sync: sync}
-	c.count[slot]++
 	if c.onSeg != nil {
+		seg := Segment{Rank: c.rank, Index: c.count[slot], Start: start, End: end, Sync: sync}
+		c.count[slot]++
 		c.onSeg(r, seg)
 		return
 	}
-	c.segs[slot] = append(c.segs[slot], seg)
+	chunks := c.segs[slot]
+	if n := len(chunks); n == 0 || len(chunks[n-1]) == cap(chunks[n-1]) {
+		size := maxChunk
+		if n < chunkGrowth {
+			size = minChunk << n
+		}
+		chunks = append(chunks, make([]segRec, 0, size))
+		c.segs[slot] = chunks
+	}
+	last := &chunks[len(chunks)-1]
+	*last = append(*last, segRec{start: start, end: end, sync: sync})
+	c.count[slot]++
 	c.stored++
 	if c.stored > c.budget {
 		c.evict()
@@ -244,9 +273,9 @@ func (c *CandidateSet) emit(r trace.RegionID, slot int32, start, end trace.Time,
 // it in a fallback pass.
 func (c *CandidateSet) evict() {
 	worst, worstLen := -1, 0
-	for s, segs := range c.segs {
-		if len(segs) > worstLen {
-			worst, worstLen = s, len(segs)
+	for s, n := range c.count {
+		if n > worstLen {
+			worst, worstLen = s, n
 		}
 	}
 	if worst < 0 {
@@ -267,9 +296,10 @@ func (c *CandidateSet) finish() error {
 	return nil
 }
 
-// Segments returns the rank's completed segments for region r. ok is
-// false when the region was not tracked, was evicted over budget, or went
-// to an emit callback — the caller must then fall back to a dedicated
+// Segments returns the rank's completed segments for region r, in a new
+// slice of exactly their number (nil when there are none). ok is false
+// when the region was not tracked, was evicted over budget, or went to an
+// emit callback — the caller must then fall back to a dedicated
 // segmentation pass.
 func (c *CandidateSet) Segments(r trace.RegionID) ([]Segment, bool) {
 	if c.segs == nil || r < 0 || int(r) >= len(c.slot) {
@@ -279,5 +309,14 @@ func (c *CandidateSet) Segments(r trace.RegionID) ([]Segment, bool) {
 	if s < 0 || c.count[s] < 0 {
 		return nil, false
 	}
-	return c.segs[s], true
+	if c.count[s] == 0 {
+		return nil, true
+	}
+	out := make([]Segment, 0, c.count[s])
+	for _, chunk := range c.segs[s] {
+		for _, rec := range chunk {
+			out = append(out, Segment{Rank: c.rank, Index: len(out), Start: rec.start, End: rec.end, Sync: rec.sync})
+		}
+	}
+	return out, true
 }

@@ -488,6 +488,100 @@ func TestKernelMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
+// TestCandidateStoreChunkEdges fills one tracked region with N segments,
+// N on and around the store's chunk boundaries (minChunk records, its
+// doublings, maxChunk), and checks that Segments rebuilds Compute's
+// output field by field.
+func TestCandidateStoreChunkEdges(t *testing.T) {
+	const rank = 2
+	for _, n := range []int{0, 1, minChunk - 1, minChunk, minChunk + 1, maxChunk + 1, 20000} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			tr := trace.New("edges", rank+1)
+			dom := tr.AddRegion("dom", trace.ParadigmUser, trace.RoleFunction)
+			mpi := tr.AddRegion("MPI_X", trace.ParadigmMPI, trace.RoleCollective)
+			for i := 0; i < n; i++ {
+				t0 := trace.Time(10 * i)
+				tr.Append(rank, trace.Enter(t0, dom))
+				tr.Append(rank, trace.Enter(t0+1, mpi))
+				tr.Append(rank, trace.Leave(t0+2+trace.Time(i%3), mpi))
+				tr.Append(rank, trace.Leave(t0+7, dom))
+			}
+			m, err := Compute(tr, dom, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := m.PerRank[rank]
+			if len(want) != n {
+				t.Fatalf("Compute: %d segments, want %d", len(want), n)
+			}
+			mask := SyncMask(tr.Regions, nil)
+			cs := NewCandidateSet(rank, []bool{true, false}, mask, 0)
+			for _, ev := range tr.Procs[rank].Events {
+				if err := cs.Feed(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, ok := cs.Segments(dom)
+			if !ok || len(got) != n {
+				t.Fatalf("Segments: %d segments, ok %t; want %d", len(got), ok, n)
+			}
+			for i, g := range got {
+				w := want[i]
+				t0 := trace.Time(10 * i)
+				if w.Rank != rank || w.Index != i || w.Start != t0 || w.End != t0+7 || w.Sync != 1+trace.Duration(i%3) {
+					t.Fatalf("Compute segment %d = %+v", i, w)
+				}
+				if g.Rank != w.Rank || g.Index != w.Index || g.Start != w.Start || g.End != w.End || g.Sync != w.Sync {
+					t.Fatalf("segment %d = %+v, want %+v", i, g, w)
+				}
+			}
+		})
+	}
+}
+
+// TestCandidateEvictionTie floods the budget from two regions that tie
+// on buffered records: the lower slot is evicted, and the survivor keeps
+// every segment with contiguous indices.
+func TestCandidateEvictionTie(t *testing.T) {
+	const a, b = 0, 1
+	const budget = 7
+	mask := []bool{false, false}
+	cs := NewCandidateSet(0, []bool{true, true}, mask, budget)
+	now := trace.Time(0)
+	invoke := func(r trace.RegionID) {
+		for _, ev := range []trace.Event{trace.Enter(now, r), trace.Leave(now+1, r)} {
+			if err := cs.Feed(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		now += 2
+	}
+	// a, b, …, a fills the budget; b's fourth record overflows it with
+	// both regions at four.
+	for i := 0; i < budget+1; i++ {
+		invoke(trace.RegionID(i % 2))
+	}
+	if _, ok := cs.Segments(a); ok {
+		t.Fatal("region a survived the tie; want the lower slot evicted")
+	}
+	// The survivor goes on buffering below the budget; a stays evicted.
+	invoke(b)
+	invoke(a)
+	invoke(b)
+	if _, ok := cs.Segments(a); ok {
+		t.Fatal("evicted region a buffered again")
+	}
+	segs, ok := cs.Segments(b)
+	if !ok || len(segs) != 6 {
+		t.Fatalf("region b: %d segments, ok %t; want 6", len(segs), ok)
+	}
+	for i, s := range segs {
+		if s.Index != i || s.End != s.Start+1 {
+			t.Fatalf("region b segment %d = %+v", i, s)
+		}
+	}
+}
+
 func nilIfEmpty(s []Segment) []Segment {
 	if len(s) == 0 {
 		return nil

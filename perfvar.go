@@ -193,7 +193,7 @@ type Options struct {
 	// streaming engine's single pass may buffer across all candidate
 	// dominant functions before it evicts candidates and — should the
 	// eviction hit the eventual winner — falls back to a second decode
-	// pass (0 = segment.DefaultCandidateBudget, 1<<16 records ≈ 3 MiB per
+	// pass (0 = segment.DefaultCandidateBudget, 1<<16 records ≈ 1.5 MiB per
 	// rank).
 	CandidateSegmentBudget int
 }

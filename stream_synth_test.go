@@ -129,10 +129,10 @@ func TestStreamingSyntheticBoundedHeap(t *testing.T) {
 	}()
 
 	src := SyntheticSource(cfg.Header(), cfg.StreamRank)
-	// A small candidate budget keeps the kernel flood from buffering
-	// ~64k segments per rank before eviction kicks in; the winning
-	// iteration segments stay far below it.
-	res, err := AnalyzeSource(context.Background(), src, Options{CandidateSegmentBudget: 8192})
+	// The default candidate budget, as users run it: the kernel flood
+	// buffers up to DefaultCandidateBudget records per rank before it is
+	// evicted, and the winning iteration segments stay far below it.
+	res, err := AnalyzeSource(context.Background(), src, Options{})
 	close(stop)
 	<-done
 	if err != nil {
