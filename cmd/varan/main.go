@@ -8,7 +8,7 @@
 //	varan -trace run.pvt -refine -heatmap sos.png
 //	varan -trace run.pvt -dominant specs_timestep -ansi
 //	varan -trace run.pvt -causality
-//	varan -trace run.pvt -stream
+//	varan -trace run.pvt -stream -causality -breakdown
 package main
 
 import (
@@ -54,21 +54,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *stream {
-		// Fixed order: the first conflicting flag named in the error
-		// must not depend on map iteration order.
-		for _, conflict := range []struct {
-			name string
-			set  bool
-		}{
-			{"-clockfix", *clocks}, {"-causality", *causality},
-			{"-breakdown", *breakdown}, {"-calltree", *calltree},
-		} {
-			if conflict.set {
-				fmt.Fprintf(os.Stderr, "varan: %s needs the full event stream and cannot combine with -stream\n", conflict.name)
-				os.Exit(2)
-			}
-		}
+	if *stream && (*clocks || *calltree) {
+		fmt.Fprintln(os.Stderr, "varan: -clockfix and -calltree need the full event stream and cannot combine with -stream")
+		os.Exit(2)
 	}
 
 	opts := perfvar.Options{

@@ -48,10 +48,8 @@ const (
 // to the materialized path's.
 //
 // Result.Engine reports which path ran. For streaming sources
-// Result.Trace is nil, and operations that need the full event stream
-// (Causality, Breakdown, SlowestIterationsTrace) report ErrNoTrace —
-// analyze via TraceSource (or LoadTrace + Analyze) when those views are
-// needed.
+// Result.Trace is nil: Causality and Breakdown stream src again, and
+// SlowestIterationsTrace returns nil.
 func AnalyzeSource(ctx context.Context, src Source, opts Options) (*Result, error) {
 	st, err := src.Open(ctx)
 	if err != nil {

@@ -244,6 +244,20 @@ func TestGoldenCausalityAndLint(t *testing.T) {
 			}
 			checkGolden(t, name+".causality.json", append(js, '\n'))
 			checkGolden(t, name+".lint.json", lintJSONGolden(t, lint.Run(tr, lint.Options{})))
+
+			// The same causality bytes, streamed from the PVTR archive.
+			var pvtr bytes.Buffer
+			if err := trace.Write(&pvtr, tr); err != nil {
+				t.Fatal(err)
+			}
+			caus, err = CausalitySource(context.Background(), ArchiveSource(pvtr.Bytes()), res.Matrix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if js, err = json.Marshal(caus); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, name+".causality.json", append(js, '\n'))
 		})
 	}
 	files, err := filepath.Glob(filepath.Join("testdata", "traces", "*.pvtt"))

@@ -1,17 +1,18 @@
 package causality
 
 import (
+	"context"
 	"sort"
 
 	"perfvar/internal/core/segment"
+	"perfvar/internal/parallel"
 	"perfvar/internal/trace"
 )
 
 // Options configure Analyze.
 type Options struct {
-	// MaxCandidates caps the candidate triples whose function is
-	// resolved via segment breakdown (0 = 32). The per-rank totals are
-	// always computed over every node.
+	// MaxCandidates caps the candidate triples (0 = 32). The per-rank
+	// totals are always computed over every node.
 	MaxCandidates int
 }
 
@@ -21,7 +22,8 @@ type Candidate struct {
 	Rank    trace.Rank `json:"rank"`
 	Segment int        `json:"segment"`
 	// Function is the top exclusive non-synchronization region inside
-	// the segment — where the causing time was actually spent.
+	// the segment — where the causing time was actually spent. Analyze
+	// leaves it empty; ResolveFunctions fills it from the event streams.
 	Function string `json:"function"`
 	// CausedWait is the propagated peer wait originating in this
 	// segment: direct blame plus every indirect wait folded back onto it
@@ -182,35 +184,66 @@ func Analyze(g *Graph, opts Options) *Analysis {
 	return an
 }
 
-// candidate resolves one origin node into a (rank, segment, function)
-// triple.
+// candidate turns one origin node into a (rank, segment) candidate; its
+// function is left to ResolveFunctions. Node segments come from
+// segIndex, which yields -1 for every time outside the matrix.
 func candidate(g *Graph, n Node, caused, direct trace.Duration) Candidate {
 	c := Candidate{Rank: n.Rank, Segment: n.Segment, CausedWait: caused, DirectWait: direct}
-	if n.Segment < 0 || int(n.Rank) < 0 || int(n.Rank) >= len(g.Matrix.PerRank) ||
-		n.Segment >= len(g.Matrix.PerRank[n.Rank]) {
-		return c
-	}
-	seg := g.Matrix.PerRank[n.Rank][n.Segment]
-	c.SOS = seg.SOS()
-	if g.Trace == nil {
-		// Streaming graph: no event streams survive to break the segment
-		// down by region, so the function stays unresolved.
-		return c
-	}
-	entries, err := segment.Breakdown(g.Trace, seg)
-	if err != nil || len(entries) == 0 {
-		return c
-	}
-	// The causing time is compute, not synchronization: pick the top
-	// exclusive non-sync region, falling back to the overall top.
-	c.Function = entries[0].Name
-	for _, e := range entries {
-		if g.Trace.ValidRegion(e.Region) && !segment.DefaultSync.IsSync(g.Trace.Region(e.Region)) {
-			c.Function = e.Name
-			break
-		}
+	if n.Segment >= 0 {
+		c.SOS = g.Matrix.PerRank[n.Rank][n.Segment].SOS()
 	}
 	return c
+}
+
+// ResolveFunctions names the function of each of an's candidates from a
+// breakdown of its segment. regions is the archive's region table and
+// streamRank replays one rank's events (the SourceStreams.StreamRank
+// shape). Each candidate rank is streamed once, in rank order on the
+// shared worker pool, and only until its last candidate segment ends.
+func ResolveFunctions(ctx context.Context, an *Analysis, regions []trace.Region, streamRank func(rank int, fn func(trace.Event) error) error) error {
+	byRank := map[trace.Rank][]int{} // candidate indices with a segment
+	var ranks []trace.Rank
+	for i, c := range an.Candidates {
+		if c.Segment < 0 {
+			continue
+		}
+		if byRank[c.Rank] == nil {
+			ranks = append(ranks, c.Rank)
+		}
+		byRank[c.Rank] = append(byRank[c.Rank], i)
+	}
+	sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
+	return parallel.ForEachCtx(ctx, len(ranks), func(ri int) error {
+		idx := byRank[ranks[ri]]
+		segs := make([]segment.Segment, len(idx))
+		for k, i := range idx {
+			c := an.Candidates[i]
+			segs[k] = an.Graph.Matrix.PerRank[c.Rank][c.Segment]
+		}
+		entries, err := segment.Breakdown(regions, segs, streamRank)
+		if err != nil {
+			return err
+		}
+		for k, i := range idx {
+			an.Candidates[i].Function = topFunction(regions, entries[k])
+		}
+		return nil
+	})
+}
+
+// topFunction picks the top exclusive non-sync region of a breakdown —
+// the causing time is compute, not synchronization — falling back to
+// the overall top ("" for an empty breakdown).
+func topFunction(regions []trace.Region, entries []segment.BreakdownEntry) string {
+	for _, e := range entries {
+		if !segment.DefaultSync.IsSync(regions[e.Region]) {
+			return e.Name
+		}
+	}
+	if len(entries) == 0 {
+		return ""
+	}
+	return entries[0].Name
 }
 
 // excessSOS computes each segment's SOS-time excess over its iteration

@@ -6,10 +6,10 @@
 // waits on it" — is left to the human reading the heatmap. This package
 // makes that inference a static pass over the trace:
 //
-//  1. Build builds a dependency graph from matched send/recv pairs and
-//     collective invocations: per-segment edges (rank, segment) →
-//     (rank, segment) weighted by the wait time the causer imposes on
-//     the waiter.
+//  1. BuildContext builds a dependency graph from matched send/recv
+//     pairs and collective invocations: per-segment edges (rank,
+//     segment) → (rank, segment) weighted by the wait time the causer
+//     imposes on the waiter.
 //  2. Each matched receive is classified as a wait state: late-sender
 //     (the send was posted after the receiver started waiting — the
 //     receiver's idle time is the sender's fault) or late-receiver (the
@@ -150,12 +150,8 @@ type Collective struct {
 
 // Graph is the cross-rank message-dependency graph of one trace.
 type Graph struct {
-	// Trace is the materialized trace backing the graph, or nil when the
-	// graph was built from streaming rank scans.
-	Trace  *trace.Trace
 	Matrix *segment.Matrix
-	// Ranks is the number of ranks the graph spans (available even when
-	// Trace is nil).
+	// Ranks is the number of ranks the graph spans.
 	Ranks int
 	// Edges holds the aggregated point-to-point dependencies, grouped by
 	// the waiter's segment column and sorted within each column.
@@ -168,59 +164,31 @@ type Graph struct {
 	Unmatched []RankDep
 }
 
-// Input bundles Build's inputs. Matrix must be non-nil; it defines the
-// segment coordinates of the graph nodes. Either Trace is set (the
-// per-rank scans run here) or Scans plus NumRanks carry finished
-// streaming rank scans, one per rank, and no trace is needed.
+// Input bundles BuildContext's inputs. Matrix must be non-nil; it defines the
+// segment coordinates of the graph nodes.
 type Input struct {
-	Trace     *trace.Trace
 	Matrix    *segment.Matrix
 	Pairs     []Pair
 	Unmatched []RankDep
-	// Scans holds one finished RankScanner per rank, for callers that
-	// consumed the event streams themselves. When set, Trace may be nil
-	// and NumRanks must give the rank count.
-	Scans    []*RankScanner
-	NumRanks int
+	// Scans holds one finished RankScanner per rank: the callers consume
+	// the event streams themselves and hand over the per-rank summaries.
+	Scans []*RankScanner
 }
 
-// Build constructs the dependency graph. Per-rank event scans and the
-// per-segment-column edge aggregation fan out through the shared worker
-// pool; results are merged in index order, so serial and parallel runs
-// are byte-identical.
-func Build(in Input) *Graph {
-	g, _ := BuildContext(context.Background(), in)
-	return g
-}
-
-// BuildContext is Build observing ctx: the per-rank scans and the
-// per-column edge aggregation stop between items once ctx is cancelled,
-// discarding the half-built graph.
+// BuildContext constructs the dependency graph. The per-segment-column
+// edge aggregation fans out through the shared worker pool and stops
+// between items once ctx is cancelled, discarding the half-built graph;
+// results are merged in index order, so serial and parallel runs are
+// byte-identical.
 func BuildContext(ctx context.Context, in Input) (*Graph, error) {
 	g := &Graph{
-		Trace:     in.Trace,
-		Matrix:    in.Matrix,
-		Ranks:     in.NumRanks,
-		Unmatched: append([]RankDep(nil), in.Unmatched...),
+		Matrix:      in.Matrix,
+		Ranks:       len(in.Scans),
+		Unmatched:   append([]RankDep(nil), in.Unmatched...),
+		Collectives: groupCollectives(in.Matrix, in.Scans),
 	}
-	scans := in.Scans
-	if scans == nil {
-		if g.Ranks == 0 {
-			g.Ranks = in.Trace.NumRanks()
-		}
-		var err error
-		scans, err = parallel.MapCtx(ctx, in.Trace.NumRanks(), func(rank int) (*RankScanner, error) {
-			return scanRank(in.Trace, trace.Rank(rank)), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else if g.Ranks == 0 {
-		g.Ranks = len(scans)
-	}
-	g.Collectives = groupCollectives(in.Matrix, scans)
 	var err error
-	g.Edges, err = buildEdgesCtx(ctx, in, scans)
+	g.Edges, err = buildEdgesCtx(ctx, in)
 	if err != nil {
 		return nil, err
 	}
@@ -334,15 +302,6 @@ func (s *RankScanner) Feed(ev trace.Event) {
 	}
 }
 
-// scanRank walks one rank's event stream once through a RankScanner.
-func scanRank(tr *trace.Trace, rank trace.Rank) *RankScanner {
-	s := NewRankScanner(tr.Regions)
-	for _, ev := range tr.Procs[rank].Events {
-		s.Feed(ev)
-	}
-	return s
-}
-
 // segIndex locates the segment of rank containing time t, or -1.
 func segIndex(m *segment.Matrix, rank trace.Rank, t trace.Time) int {
 	if int(rank) < 0 || int(rank) >= len(m.PerRank) {
@@ -415,7 +374,7 @@ func groupCollectives(m *segment.Matrix, scans []*RankScanner) []Collective {
 // buildEdges classifies every matched pair and aggregates the results
 // into per-segment edges. Pairs are bucketed by the waiter's segment
 // column; the columns aggregate independently on the worker pool.
-func buildEdgesCtx(ctx context.Context, in Input, scans []*RankScanner) ([]Edge, error) {
+func buildEdgesCtx(ctx context.Context, in Input) ([]Edge, error) {
 	columns := 0
 	for _, segs := range in.Matrix.PerRank {
 		if len(segs) > columns {
@@ -447,7 +406,7 @@ func buildEdgesCtx(ctx context.Context, in Input, scans []*RankScanner) ([]Edge,
 		next[col]++
 	}
 	perCol, err := parallel.MapCtx(ctx, columns, func(col int) ([]Edge, error) {
-		return columnEdges(in, scans, idx[counts[col]:counts[col+1]], col), nil
+		return columnEdges(in, idx[counts[col]:counts[col+1]], col), nil
 	})
 	if err != nil {
 		return nil, err
@@ -474,7 +433,7 @@ type ekey struct {
 // handful of warm maps serve the whole build.
 var ekeyPool = sync.Pool{New: func() any { return map[ekey]int32{} }}
 
-func columnEdges(in Input, scans []*RankScanner, pairIdx []int32, col int) []Edge {
+func columnEdges(in Input, pairIdx []int32, col int) []Edge {
 	agg := ekeyPool.Get().(map[ekey]int32) // index into out (-1 during the count pass)
 	defer func() {
 		clear(agg)
@@ -485,10 +444,10 @@ func columnEdges(in Input, scans []*RankScanner, pairIdx []int32, col int) []Edg
 	// keys, the second aggregates.
 	classify := func(pi int32, fn func(ekey, Edge)) {
 		p := &in.Pairs[pi]
-		if int(p.RecvRank) < 0 || int(p.RecvRank) >= len(scans) {
+		if int(p.RecvRank) < 0 || int(p.RecvRank) >= len(in.Scans) {
 			return
 		}
-		eff, ok := scans[p.RecvRank].waitOf(p.RecvEvent)
+		eff, ok := in.Scans[p.RecvRank].waitOf(p.RecvEvent)
 		if !ok {
 			return // receive outside any synchronization region
 		}

@@ -1,6 +1,8 @@
 package causality
 
 import (
+	"context"
+	"sync"
 	"testing"
 
 	"perfvar/internal/core/segment"
@@ -24,6 +26,28 @@ func matrix(t *testing.T, tr *trace.Trace, region trace.RegionID) *segment.Matri
 		t.Fatal(err)
 	}
 	return m
+}
+
+// scans feeds each rank of tr through its own RankScanner, as the
+// streaming callers of Build do.
+func scans(tr *trace.Trace) []*RankScanner {
+	out := make([]*RankScanner, tr.NumRanks())
+	for rank := range tr.Procs {
+		out[rank] = NewRankScanner(tr.Regions)
+		for _, ev := range tr.Procs[rank].Events {
+			out[rank].Feed(ev)
+		}
+	}
+	return out
+}
+
+func build(t *testing.T, in Input) *Graph {
+	t.Helper()
+	g, err := BuildContext(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // recvEvent locates the n-th receive event of rank (0-based).
@@ -56,8 +80,8 @@ func TestLateSenderClassification(t *testing.T) {
 	tr.Append(1, trace.Leave(200, step))
 
 	ev, rt := recvEvent(tr, 1, 0)
-	g := Build(Input{
-		Trace: tr, Matrix: matrix(t, tr, step),
+	g := build(t, Input{
+		Scans: scans(tr), Matrix: matrix(t, tr, step),
 		Pairs: []Pair{{SendRank: 0, SendTime: 100, RecvRank: 1, RecvTime: rt, RecvEvent: ev}},
 	})
 	if len(g.Edges) != 1 {
@@ -91,8 +115,8 @@ func TestLateReceiverClassification(t *testing.T) {
 	tr.Append(1, trace.Leave(200, step))
 
 	ev, rt := recvEvent(tr, 1, 0)
-	g := Build(Input{
-		Trace: tr, Matrix: matrix(t, tr, step),
+	g := build(t, Input{
+		Scans: scans(tr), Matrix: matrix(t, tr, step),
 		Pairs: []Pair{{SendRank: 0, SendTime: 5, RecvRank: 1, RecvTime: rt, RecvEvent: ev}},
 	})
 	if len(g.Edges) != 1 || g.Edges[0].Kind != LateReceiver {
@@ -121,8 +145,8 @@ func TestRecvOutsideSyncRegionSkipped(t *testing.T) {
 	tr.Append(1, trace.Leave(200, step))
 
 	ev, rt := recvEvent(tr, 1, 0)
-	g := Build(Input{
-		Trace: tr, Matrix: matrix(t, tr, step),
+	g := build(t, Input{
+		Scans: scans(tr), Matrix: matrix(t, tr, step),
 		Pairs: []Pair{{SendRank: 0, SendTime: 100, RecvRank: 1, RecvTime: rt, RecvEvent: ev}},
 	})
 	if len(g.Edges) != 0 {
@@ -152,8 +176,8 @@ func TestWaitallSecondWaitStartsAtFirstCompletion(t *testing.T) {
 
 	ev0, rt0 := recvEvent(tr, 1, 0)
 	ev1, rt1 := recvEvent(tr, 1, 1)
-	g := Build(Input{
-		Trace: tr, Matrix: matrix(t, tr, step),
+	g := build(t, Input{
+		Scans: scans(tr), Matrix: matrix(t, tr, step),
 		Pairs: []Pair{
 			{SendRank: 0, SendTime: 90, RecvRank: 1, RecvTime: rt0, RecvEvent: ev0},
 			{SendRank: 2, SendTime: 120, RecvRank: 1, RecvTime: rt1, RecvEvent: ev1},
@@ -190,7 +214,7 @@ func TestCollectiveBlameDecomposition(t *testing.T) {
 		tr.Append(rank, trace.Leave(50, bar))
 		tr.Append(rank, trace.Leave(60, step))
 	}
-	g := Build(Input{Trace: tr, Matrix: matrix(t, tr, step)})
+	g := build(t, Input{Scans: scans(tr), Matrix: matrix(t, tr, step)})
 	if len(g.Collectives) != 1 {
 		t.Fatalf("collectives = %+v, want 1", g.Collectives)
 	}
@@ -257,8 +281,11 @@ func chainTrace(t *testing.T) (*trace.Trace, *segment.Matrix, []Pair) {
 
 func TestWaitChainFoldsBlameOntoOrigin(t *testing.T) {
 	tr, m, pairs := chainTrace(t)
-	g := Build(Input{Trace: tr, Matrix: m, Pairs: pairs})
+	g := build(t, Input{Scans: scans(tr), Matrix: m, Pairs: pairs})
 	an := Analyze(g, Options{})
+	if err := ResolveFunctions(context.Background(), an, tr.Regions, tr.StreamRank); err != nil {
+		t.Fatal(err)
+	}
 
 	// Per iteration: rank 0 directly delays rank 1 by 200 (210-10) and
 	// rank 1 directly delays rank 2 by 205 (225-20); rank 1 has zero
@@ -311,8 +338,8 @@ func TestMalformedStreamDoesNotPanic(t *testing.T) {
 	}
 	ev0, rt0 := recvEvent(tr, 0, 0)
 	ev1, rt1 := recvEvent(tr, 1, 0)
-	g := Build(Input{
-		Trace: tr, Matrix: m,
+	g := build(t, Input{
+		Scans: scans(tr), Matrix: m,
 		Pairs: []Pair{
 			{SendRank: 1, SendTime: 40, RecvRank: 0, RecvTime: rt0, RecvEvent: ev0},
 			{SendRank: 0, SendTime: 45, RecvRank: 1, RecvTime: rt1, RecvEvent: ev1},
@@ -327,5 +354,35 @@ func TestMalformedStreamDoesNotPanic(t *testing.T) {
 	}
 	if len(an.Cycles) != 1 {
 		t.Fatalf("cycles = %+v, want the 0↔1 cycle", an.Cycles)
+	}
+}
+
+// TestResolveFunctionsStreamsEachRankOnce: both chain candidates sit on
+// rank 0, so resolving their functions streams rank 0 once and no other
+// rank.
+func TestResolveFunctionsStreamsEachRankOnce(t *testing.T) {
+	tr, m, pairs := chainTrace(t)
+	an := Analyze(build(t, Input{Scans: scans(tr), Matrix: m, Pairs: pairs}), Options{})
+	if len(an.Candidates) != 2 || an.Candidates[0].Function != "" {
+		t.Fatalf("candidates before resolving = %+v, want two without function", an.Candidates)
+	}
+	var mu sync.Mutex
+	calls := map[int]int{}
+	err := ResolveFunctions(context.Background(), an, tr.Regions, func(rank int, fn func(trace.Event) error) error {
+		mu.Lock()
+		calls[rank]++
+		mu.Unlock()
+		return tr.StreamRank(rank, fn)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 1 || calls[0] != 1 {
+		t.Fatalf("stream calls per rank = %v, want rank 0 once", calls)
+	}
+	for _, c := range an.Candidates {
+		if c.Function != "step" {
+			t.Errorf("candidate %+v: function %q, want step", c, c.Function)
+		}
 	}
 }

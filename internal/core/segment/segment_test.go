@@ -644,6 +644,26 @@ func TestClassifierExtremesProperty(t *testing.T) {
 	}
 }
 
+// traceStream is tr.StreamRank counting the events it feeds.
+func traceStream(tr *trace.Trace, fed *int) func(int, func(trace.Event) error) error {
+	return func(rank int, fn func(trace.Event) error) error {
+		return tr.StreamRank(rank, func(ev trace.Event) error {
+			*fed++
+			return fn(ev)
+		})
+	}
+}
+
+// breakdownOne is Breakdown of a single segment.
+func breakdownOne(tr *trace.Trace, seg Segment) ([]BreakdownEntry, error) {
+	var fed int
+	out, err := Breakdown(tr.Regions, []Segment{seg}, traceStream(tr, &fed))
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
 func TestBreakdownFig3(t *testing.T) {
 	tr := workloads.Fig3Trace()
 	r, _ := tr.RegionByName("a")
@@ -652,7 +672,7 @@ func TestBreakdownFig3(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rank 2, iteration 0: calc 1 step, MPI 5 steps, a itself 0.
-	entries, err := Breakdown(tr, m.PerRank[2][0])
+	entries, err := breakdownOne(tr, m.PerRank[2][0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,12 +699,57 @@ func TestBreakdownFig3(t *testing.T) {
 
 func TestBreakdownErrors(t *testing.T) {
 	tr := workloads.Fig3Trace()
-	if _, err := Breakdown(tr, Segment{Rank: 99}); err == nil {
+	if _, err := breakdownOne(tr, Segment{Rank: 99}); err == nil {
 		t.Fatal("bad rank accepted")
+	}
+	var fed int
+	if _, err := Breakdown(tr.Regions, []Segment{{Rank: 0}, {Rank: 1}}, traceStream(tr, &fed)); err == nil {
+		t.Fatal("segments of two ranks accepted")
+	}
+	if fed != 0 {
+		t.Fatalf("rejected call streamed %d events", fed)
 	}
 }
 
-// Property: breakdown entries always sum to the segment's inclusive time.
+// TestBreakdownManySegmentsOneSweep: breaking several segments of one
+// rank down in one sweep gives each segment's single-call entries, and
+// the sweep stops once the last requested segment has ended.
+func TestBreakdownManySegmentsOneSweep(t *testing.T) {
+	tr := workloads.Fig3Trace()
+	r, _ := tr.RegionByName("a")
+	m, err := Compute(tr, r.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank, segs := range m.PerRank {
+		if len(segs) < 3 {
+			t.Fatalf("rank %d: %d segments, want at least 3", rank, len(segs))
+		}
+		// Out of order and with a repeat, ending before the last segment.
+		want := []Segment{segs[1], segs[0], segs[1]}
+		var fed int
+		got, err := Breakdown(tr.Regions, want, traceStream(tr, &fed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, seg := range want {
+			one, err := breakdownOne(tr, seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[i], one) {
+				t.Errorf("rank %d segment %d: one sweep %+v, single call %+v", rank, seg.Index, got[i], one)
+			}
+		}
+		if fed >= len(tr.Procs[rank].Events) {
+			t.Errorf("rank %d: sweep fed all %d events, want a stop after segment 1", rank, fed)
+		}
+	}
+}
+
+// Property: breakdown entries always sum to the segment's inclusive
+// time, and one sweep over all of a rank's segments matches one call per
+// segment.
 func TestBreakdownSumsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		tr, dom := randomSegTrace(seed)
@@ -692,9 +757,14 @@ func TestBreakdownSumsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, seg := range m.PerRank[0] {
-			entries, err := Breakdown(tr, seg)
-			if err != nil {
+		var fed int
+		all, err := Breakdown(tr.Regions, m.PerRank[0], traceStream(tr, &fed))
+		if err != nil {
+			return false
+		}
+		for i, seg := range m.PerRank[0] {
+			entries, err := breakdownOne(tr, seg)
+			if err != nil || !reflect.DeepEqual(entries, all[i]) {
 				return false
 			}
 			var total trace.Duration

@@ -7,6 +7,7 @@ import (
 
 	"perfvar/internal/causality"
 	"perfvar/internal/core/segment"
+	"perfvar/internal/parallel"
 	"perfvar/internal/trace"
 )
 
@@ -15,9 +16,10 @@ import (
 // graph of internal/causality, built once per run from the msgmatch facts
 // and the dominant-function segment matrix.
 
-// causalityPairs converts matched message pairs into the causality
-// builder's edge input.
-func causalityPairs(msgs *Messages) []causality.Pair {
+// dependencyGraph builds the causality graph from the message-matching
+// facts: matched pairs become graph edges, unmatched operations become
+// rank-level wait-for edges for the deadlock detector.
+func dependencyGraph(ctx context.Context, m *segment.Matrix, scans []*causality.RankScanner, msgs *Messages) (*causality.Graph, error) {
 	pairs := make([]causality.Pair, len(msgs.Pairs))
 	for i, p := range msgs.Pairs {
 		pairs[i] = causality.Pair{
@@ -26,19 +28,9 @@ func causalityPairs(msgs *Messages) []causality.Pair {
 			Tag: p.Recv.Tag, Bytes: p.Recv.Bytes,
 		}
 	}
-	return pairs
-}
-
-// causalityInput converts the message-matching facts into the causality
-// builder's input: matched pairs become graph edges, unmatched operations
-// become rank-level wait-for edges for the deadlock detector.
-func causalityInput(tr *trace.Trace, m *segment.Matrix, msgs *Messages) causality.Input {
-	return causality.Input{
-		Trace:     tr,
-		Matrix:    m,
-		Pairs:     causalityPairs(msgs),
-		Unmatched: depsFromUnmatched(msgs),
-	}
+	return causality.BuildContext(ctx, causality.Input{
+		Matrix: m, Scans: scans, Pairs: pairs, Unmatched: depsFromUnmatched(msgs),
+	})
 }
 
 // depsFromUnmatched derives the rank-level wait-for edges of the
@@ -56,23 +48,39 @@ func depsFromUnmatched(msgs *Messages) []causality.RankDep {
 	return deps
 }
 
-// DependencyGraph builds the cross-rank message-dependency graph of tr
-// segmented by m, using the same FIFO message matching the msgmatch
-// analyzer relies on. It is the standalone entry for callers outside a
-// lint run (the perfvar facade and cmd/varan).
-func DependencyGraph(tr *trace.Trace, m *segment.Matrix) *causality.Graph {
-	msgs := matchMessages(tr)
-	return causality.Build(causalityInput(tr, m, &msgs))
-}
-
-// DependencyGraphContext is DependencyGraph observing ctx through the
-// graph build's fan-outs.
-func DependencyGraphContext(ctx context.Context, tr *trace.Trace, m *segment.Matrix) (*causality.Graph, error) {
-	if err := ctx.Err(); err != nil {
+// DependencyGraph builds the cross-rank message-dependency graph of
+// src's event streams segmented by m, using the same FIFO message
+// matching the msgmatch analyzer relies on. One parallel sweep over the
+// ranks feeds a causality.RankScanner and collects the op records per
+// rank; the fan-outs stop once ctx is cancelled. It is the standalone
+// entry for callers outside a lint run (the perfvar facade).
+func DependencyGraph(ctx context.Context, src Streams, m *segment.Matrix) (*causality.Graph, error) {
+	nranks := src.NumRanks()
+	regions := src.Header().Regions
+	scans := make([]*causality.RankScanner, nranks)
+	ops := make([][]opRec, nranks)
+	err := parallel.ForEachCtx(ctx, nranks, func(rank int) error {
+		scan := causality.NewRankScanner(regions)
+		var rops []opRec
+		i := 0
+		if err := src.StreamRank(rank, func(ev trace.Event) error {
+			scan.Feed(ev)
+			if op, ok := opRecOf(i, ev); ok {
+				rops = append(rops, op)
+			}
+			i++
+			return nil
+		}); err != nil {
+			return err
+		}
+		scans[rank], ops[rank] = scan, rops
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	msgs := matchMessages(tr)
-	return causality.BuildContext(ctx, causalityInput(tr, m, &msgs))
+	msgs := matchOps(nranks, ops)
+	return dependencyGraph(ctx, m, scans, &msgs)
 }
 
 // fmtDur renders a nanosecond duration with a compact unit for

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -28,12 +29,6 @@ func sortSlice[T any](s []T, less func(a, b T) bool) {
 // analyzer logic is written once against facts, never against raw event
 // storage. Reporting is goroutine-safe.
 type Pass struct {
-	// Trace is the materialized trace under analysis, or nil when the
-	// run streams events from a Source without materializing. Built-in
-	// analyzers never touch it; it exists for external analyzers that
-	// opt out of streaming compatibility.
-	Trace *trace.Trace
-
 	analyzer Analyzer
 	facts    *facts
 
@@ -212,6 +207,18 @@ type opRec struct {
 	recv  bool
 }
 
+// opRecOf returns the op record of ev, the i-th event of its rank, when
+// ev is a send or receive.
+func opRecOf(i int, ev trace.Event) (opRec, bool) {
+	if ev.Kind != trace.KindSend && ev.Kind != trace.KindRecv {
+		return opRec{}, false
+	}
+	return opRec{
+		recv: ev.Kind == trace.KindRecv, event: int32(i), time: ev.Time,
+		peer: ev.Peer, tag: ev.Tag, bytes: ev.Bytes,
+	}, true
+}
+
 // facts holds the shared summary facts of one run. The streaming driver
 // fills the per-rank fields as each rank's stream ends and the barrier
 // fields (selection, segments) between the two streaming passes; the
@@ -219,7 +226,6 @@ type opRec struct {
 // barrier, so no locking is needed beyond the sync.Once fields.
 type facts struct {
 	header     *trace.Header
-	tr         *trace.Trace // may be nil (streaming run)
 	nranks     int
 	minLatency trace.Duration
 
@@ -301,19 +307,14 @@ func (f *facts) computeDeps() {
 		f.depsErr = f.segmentsErr
 		return
 	}
-	if f.scans == nil && f.tr == nil {
+	if f.scans == nil {
 		f.depsErr = errFactUnavailable
 		return
 	}
 	f.messagesOnce.Do(f.computeMessages)
-	f.deps = causality.Build(causality.Input{
-		Trace:     f.tr,
-		Matrix:    f.segments,
-		Scans:     f.scans,
-		NumRanks:  f.nranks,
-		Pairs:     causalityPairs(&f.messages),
-		Unmatched: depsFromUnmatched(&f.messages),
-	})
+	// Analyzer Finish hooks take no context; the build cannot fail
+	// without one.
+	f.deps, _ = dependencyGraph(context.Background(), f.segments, f.scans, &f.messages)
 }
 
 // matchOps pairs sends and receives per (src, dst, tag) channel in FIFO
@@ -461,30 +462,4 @@ func matchOps(nranks int, ops [][]opRec) Messages {
 		return a.Recv.Event < b.Recv.Event
 	})
 	return msgs
-}
-
-// opsOfTrace collects the per-rank op summaries of a materialized trace
-// — the same records the streaming driver accumulates event by event.
-func opsOfTrace(tr *trace.Trace) [][]opRec {
-	ops := make([][]opRec, tr.NumRanks())
-	for rank := range tr.Procs {
-		for i, ev := range tr.Procs[rank].Events {
-			switch ev.Kind {
-			case trace.KindSend, trace.KindRecv:
-				ops[rank] = append(ops[rank], opRec{
-					recv: ev.Kind == trace.KindRecv, event: int32(i), time: ev.Time,
-					peer: ev.Peer, tag: ev.Tag, bytes: ev.Bytes,
-				})
-			}
-		}
-	}
-	return ops
-}
-
-// matchMessages pairs Send and Recv events of a materialized trace per
-// (src, dst, tag) channel in FIFO order. It is the standalone form of
-// the messages fact, shared with DependencyGraph so out-of-run callers
-// get identical pairing.
-func matchMessages(tr *trace.Trace) Messages {
-	return matchOps(tr.NumRanks(), opsOfTrace(tr))
 }

@@ -56,7 +56,7 @@ func Run(tr *trace.Trace, opts Options) *Result {
 // discarded rather than passed off as a full lint.
 func RunContext(ctx context.Context, tr *trace.Trace, opts Options) (*Result, error) {
 	src := memStreams{tr: tr, header: &trace.Header{Name: tr.Name, Regions: tr.Regions, Metrics: tr.Metrics}}
-	return runStreams(ctx, src, tr, opts)
+	return runStreams(ctx, src, opts)
 }
 
 // RunSource executes the analyzers over a source's event streams
@@ -67,14 +67,14 @@ func RunContext(ctx context.Context, tr *trace.Trace, opts Options) (*Result, er
 // identical — byte-identical once serialized — to Run over the
 // materialized trace.
 func RunSource(ctx context.Context, src Streams, opts Options) (*Result, error) {
-	return runStreams(ctx, src, nil, opts)
+	return runStreams(ctx, src, opts)
 }
 
 // runStreams drives one lint run over per-rank event streams. It is the
 // single execution path behind Run and RunSource.
-func runStreams(ctx context.Context, src Streams, tr *trace.Trace, opts Options) (*Result, error) {
+func runStreams(ctx context.Context, src Streams, opts Options) (*Result, error) {
 	nranks := src.NumRanks()
-	run := newStreamRun(src.Header(), nranks, tr, opts)
+	run := NewStreamRun(src.Header(), nranks, opts)
 	err := parallel.ForEachCtx(ctx, nranks, func(rank int) error {
 		if err := src.StreamRank(rank, func(ev trace.Event) error {
 			run.FeedEvent(rank, ev)
@@ -126,15 +126,7 @@ func (m memStreams) Header() *trace.Header { return m.header }
 func (m memStreams) NumRanks() int         { return m.tr.NumRanks() }
 
 func (m memStreams) StreamRank(rank int, fn func(trace.Event) error) error {
-	for _, ev := range m.tr.Procs[rank].Events {
-		if err := fn(ev); err != nil {
-			if err == trace.ErrStopStream {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
+	return m.tr.StreamRank(rank, fn)
 }
 
 func sortNames(names []string) {

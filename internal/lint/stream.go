@@ -107,10 +107,6 @@ type rankCollector struct {
 // given header and rank count. Options are interpreted exactly as by
 // Run.
 func NewStreamRun(h *trace.Header, nranks int, opts Options) *StreamRun {
-	return newStreamRun(h, nranks, nil, opts)
-}
-
-func newStreamRun(h *trace.Header, nranks int, tr *trace.Trace, opts Options) *StreamRun {
 	analyzers := opts.Analyzers
 	if analyzers == nil {
 		analyzers = All()
@@ -120,7 +116,7 @@ func newStreamRun(h *trace.Header, nranks int, tr *trace.Trace, opts Options) *S
 		minLatency = DefaultMinLatency
 	}
 	f := &facts{
-		header: h, tr: tr, nranks: nranks, minLatency: minLatency,
+		header: h, nranks: nranks, minLatency: minLatency,
 		structural: make([][]trace.Issue, nranks),
 		counts:     make([]int, nranks),
 		zeros:      make([][]ZeroRegion, nranks),
@@ -138,7 +134,7 @@ func newStreamRun(h *trace.Header, nranks int, tr *trace.Trace, opts Options) *S
 	r.visitors = make([]StreamVisitor, len(analyzers))
 	r.evIndex = make([]int, len(analyzers))
 	for i, a := range analyzers {
-		p := &Pass{Trace: tr, analyzer: a, facts: f}
+		p := &Pass{analyzer: a, facts: f}
 		r.passes[i] = p
 		v := a.Stream(p)
 		r.visitors[i] = v
@@ -169,14 +165,11 @@ func (r *StreamRun) FeedEvent(rank int, ev trace.Event) {
 	i := c.count
 	c.count++
 	c.checker.Feed(ev)
-	if r.need.ops && (ev.Kind == trace.KindSend || ev.Kind == trace.KindRecv) {
+	if op, ok := opRecOf(i, ev); ok && r.need.ops {
 		if c.ops == nil {
 			c.ops = *opScratch.Get().(*[]opRec)
 		}
-		c.ops = append(c.ops, opRec{
-			recv: ev.Kind == trace.KindRecv, event: int32(i), time: ev.Time,
-			peer: ev.Peer, tag: ev.Tag, bytes: ev.Bytes,
-		})
+		c.ops = append(c.ops, op)
 	}
 	if c.replay != nil && c.replayErr == nil {
 		c.feedReplay(r.facts.header.Regions, ev)

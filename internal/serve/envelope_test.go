@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"perfvar"
 	"perfvar/internal/trace"
 	"perfvar/internal/workloads"
 )
@@ -144,7 +145,8 @@ func TestErrorEnvelope(t *testing.T) {
 
 // TestEngineHeader pins the streaming rewire: PVTR uploads run the
 // streaming engine, text archives fall back to the materialized path,
-// and the response advertises which one via X-Perfvar-Engine.
+// and the response advertises which one via X-Perfvar-Engine. The
+// causality view gives the same body on every path.
 func TestEngineHeader(t *testing.T) {
 	pvtr := genTrace(t, 8, 4)
 
@@ -162,14 +164,16 @@ func TestEngineHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := newTestServer(t, Config{}, "", nil)
+	storeDir := t.TempDir()
+	s := newTestServer(t, Config{StoreDir: storeDir}, "", nil)
 	h := s.Handler()
 
-	post := func(body []byte) *httptest.ResponseRecorder {
+	postView := func(h http.Handler, view string, body []byte) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/analyze?view=analysis", bytes.NewReader(body)))
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/analyze?view="+view, bytes.NewReader(body)))
 		return rec
 	}
+	post := func(body []byte) *httptest.ResponseRecorder { return postView(h, "analysis", body) }
 
 	if rec := post(pvtr); rec.Code != http.StatusOK {
 		t.Fatalf("PVTR upload: status = %d; body: %s", rec.Code, rec.Body.String())
@@ -183,11 +187,44 @@ func TestEngineHeader(t *testing.T) {
 		t.Fatalf("pvtt upload: X-Perfvar-Engine = %q, want materialized", eng)
 	}
 
-	// The causality view needs the full event stream; it must still work
-	// on a PVTR (streamed) archive by materializing on demand.
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/analyze?view=causality", bytes.NewReader(pvtr)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("causality on streamed archive: status = %d; body: %s", rec.Code, rec.Body.String())
+	// The causality view streams the upload again against the cached
+	// matrix: the PVTR and pvtt uploads, the library's JSON, and a
+	// restarted server whose pipeline result comes from the disk store
+	// must all give the same body.
+	causality := func(label string, h http.Handler, body []byte) []byte {
+		t.Helper()
+		rec := postView(h, "causality", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s causality: status = %d; body: %s", label, rec.Code, rec.Body.String())
+		}
+		return rec.Body.Bytes()
+	}
+	want := causality("PVTR", h, pvtr)
+	if got := causality("pvtt", h, pvtt.Bytes()); !bytes.Equal(got, want) {
+		t.Errorf("pvtt causality body differs:\n want %s\n got  %s", want, got)
+	}
+	res, err := perfvar.Analyze(tr, perfvar.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := res.Causality()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := json.MarshalIndent(an, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lib = append(lib, '\n'); !bytes.Equal(lib, want) {
+		t.Errorf("library causality JSON differs from the served body:\n want %s\n got  %s", lib, want)
+	}
+	s.Close()
+
+	restarted := newTestServer(t, Config{StoreDir: storeDir}, "", nil)
+	if got := causality("restored", restarted.Handler(), pvtr); !bytes.Equal(got, want) {
+		t.Errorf("restored causality body differs:\n want %s\n got  %s", want, got)
+	}
+	if _, _, computed := restarted.Metrics(); computed != 1 {
+		t.Errorf("restarted server computed %d results, want 1 (causality over the disk-restored pipeline result)", computed)
 	}
 }

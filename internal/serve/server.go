@@ -751,21 +751,9 @@ func (s *Server) serveView(w http.ResponseWriter, r *http.Request, data []byte, 
 	case "causality":
 		sum := sha256.Sum256(data)
 		v, err := s.compute(ctx, w, cacheKey(sum, "causality", p.key), int64(len(data)), nil, func(cctx context.Context) (any, error) {
-			cres := res
-			if cres.Trace == nil {
-				// The pipeline streamed the archive (or restored the
-				// result from disk), so no event streams survive for the
-				// dependency-graph build — materialize the trace just for
-				// this view.
-				tr, err := trace.ReadAnyLimit(bytes.NewReader(data), s.cfg.MaxUploadBytes)
-				if err != nil {
-					return nil, err
-				}
-				if cres, err = perfvar.AnalyzeContext(cctx, tr, p.opts); err != nil {
-					return nil, err
-				}
-			}
-			return cres.CausalityContext(cctx)
+			// Streams the upload again against the cached matrix, whichever
+			// tier (miss, memory or disk) the pipeline result came from.
+			return perfvar.CausalitySource(cctx, perfvar.ArchiveSource(data), res.Matrix)
 		})
 		if err != nil {
 			s.httpError(w, r, err)

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -87,6 +88,24 @@ func (tr *Trace) AddMetric(name, unit string, mode MetricMode) MetricID {
 	id := MetricID(len(tr.Metrics))
 	tr.Metrics = append(tr.Metrics, Metric{ID: id, Name: name, Unit: unit, Mode: mode})
 	return id
+}
+
+// StreamRank feeds rank's events to fn in stream order, the per-rank
+// stream shape the archive readers (RankStreams, DirStreams) share.
+// Returning ErrStopStream from fn ends the stream early without error.
+func (tr *Trace) StreamRank(rank int, fn func(Event) error) error {
+	if rank < 0 || rank >= len(tr.Procs) {
+		return fmt.Errorf("trace: rank %d out of range", rank)
+	}
+	for _, ev := range tr.Procs[rank].Events {
+		if err := fn(ev); err != nil {
+			if errors.Is(err, ErrStopStream) {
+				return nil
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // Region returns the definition for id. It panics if id is out of range;

@@ -198,10 +198,10 @@ type Options struct {
 	CandidateSegmentBudget int
 }
 
-// ErrNoTrace reports an operation that needs the full event stream on a
-// result produced by the streaming engine (Result.Trace == nil). Analyze
-// via TraceSource — or LoadTrace + Analyze — when such views are needed.
-var ErrNoTrace = errors.New("perfvar: operation requires a materialized trace (the result came from a streaming source)")
+// ErrNoTrace reports an operation that needs the event streams again on
+// a result restored by DecodeStoredResult, which has no re-openable
+// source; CausalitySource takes the archive and the restored Matrix.
+var ErrNoTrace = errors.New("perfvar: the result has no re-openable source (restored from disk)")
 
 // Result is the complete outcome of one analysis run.
 type Result struct {
@@ -223,7 +223,8 @@ type Result struct {
 	Lint *lint.Result
 
 	// source re-opens the measurement data for operations that need
-	// another pass (Refine on a streaming result).
+	// another pass (Refine, Breakdown, Causality); nil on restored
+	// results.
 	source Source
 	info   resultInfo
 }
@@ -257,16 +258,13 @@ func AnalyzeContext(ctx context.Context, tr *Trace, opts Options) (*Result, erro
 // Refine re-runs segmentation and analysis at a finer granularity: the
 // highest-ranked candidate with more invocations than the current
 // dominant function (paper Fig. 5c). It returns an error when no finer
-// candidate exists. Streaming results re-stream their source.
+// candidate exists. The result's source is streamed again.
 func (r *Result) Refine(opts Options) (*Result, error) {
 	finer, ok := r.Selection.Finer(r.Matrix.Region)
 	if !ok {
 		return nil, fmt.Errorf("perfvar: no finer segmentation candidate than %q", r.Matrix.RegionName)
 	}
 	opts.DominantFunction = finer.Name
-	if r.Trace != nil {
-		return Analyze(r.Trace, opts)
-	}
 	if r.source == nil {
 		return nil, ErrNoTrace
 	}
@@ -346,13 +344,23 @@ func (r *Result) Phases(k int) *Clustering {
 }
 
 // Breakdown dissects one segment into per-region exclusive times — the
-// focused follow-up once a hotspot is identified. It requires a
-// materialized trace (ErrNoTrace otherwise).
+// focused follow-up once a hotspot is identified. It streams seg.Rank
+// again through the result's source, up to the segment's end; a
+// restored result has none (ErrNoTrace).
 func (r *Result) Breakdown(seg Segment) ([]BreakdownEntry, error) {
-	if r.Trace == nil {
+	if r.source == nil {
 		return nil, ErrNoTrace
 	}
-	return segment.Breakdown(r.Trace, seg)
+	st, err := r.source.Open(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	entries, err := segment.Breakdown(st.Header().Regions, []Segment{seg}, st.StreamRank)
+	if err != nil {
+		return nil, err
+	}
+	return entries[0], nil
 }
 
 // WaitAttribution is a per-rank summary of caused peer wait time.
@@ -382,24 +390,41 @@ type CausalityRank = causality.RankAttribution
 // indirect waits back onto their originating ranks, and ranks root-cause
 // candidates. Unlike WaitCausers, which charges the slowest rank of each
 // iteration, this follows the actual communication dependencies. It is
-// the ctx-free wrapper over CausalityContext and requires a
-// materialized trace (ErrNoTrace otherwise).
+// the ctx-free wrapper over CausalityContext.
 func (r *Result) Causality() (*CausalityAnalysis, error) {
 	return r.CausalityContext(context.Background())
 }
 
 // CausalityContext is the canonical, context-taking form of Causality:
-// the graph build's per-rank scans and per-column edge aggregation stop
-// once ctx is cancelled, returning ctx.Err().
+// CausalitySource over the result's source and segment matrix. A
+// restored result has no source (ErrNoTrace).
 func (r *Result) CausalityContext(ctx context.Context) (*CausalityAnalysis, error) {
-	if r.Trace == nil {
+	if r.source == nil {
 		return nil, ErrNoTrace
 	}
-	g, err := lint.DependencyGraphContext(ctx, r.Trace, r.Matrix)
+	return CausalitySource(ctx, r.source, r.Matrix)
+}
+
+// CausalitySource runs the causality analysis of src segmented by m, the
+// Matrix of a result analyzed from the same data. One sweep over every
+// rank builds the dependency graph; only the candidates' ranks are
+// streamed again, to name their functions. Cancelling ctx stops the
+// per-rank fan-outs with ctx.Err().
+func CausalitySource(ctx context.Context, src Source, m *Matrix) (*CausalityAnalysis, error) {
+	st, err := src.Open(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return causality.Analyze(g, causality.Options{}), nil
+	defer st.Close()
+	g, err := lint.DependencyGraph(ctx, st, m)
+	if err != nil {
+		return nil, err
+	}
+	an := causality.Analyze(g, causality.Options{})
+	if err := causality.ResolveFunctions(ctx, an, st.Header().Regions, st.StreamRank); err != nil {
+		return nil, err
+	}
+	return an, nil
 }
 
 // RankTrend is one rank's slowdown fit.

@@ -13,9 +13,9 @@ import (
 // streaming-result state of a Result — selection, segment matrix,
 // imbalance analysis, MPI-share timeline, and the trace metadata that
 // backs reports and span-based rendering. The event streams themselves
-// are never persisted: a restored Result behaves exactly like one the
-// streaming engine produced (Trace == nil; trace-needing views return
-// ErrNoTrace and re-materialize from the archive on demand).
+// are never persisted, and neither is the source: a restored Result has
+// Trace == nil like a streamed one, and the views that stream the source
+// again (Causality, Breakdown, Refine) return ErrNoTrace.
 type storedResult struct {
 	Name        string
 	Ranks       int
@@ -73,7 +73,8 @@ func (r *Result) EncodeStored(w io.Writer) error {
 // DecodeStoredResult restores a Result persisted with EncodeStored.
 // The restored result has no materialized trace and no re-openable
 // source: report, heatmap, histogram, and phase views work as on any
-// streaming result; Causality and Breakdown return ErrNoTrace.
+// streaming result; Causality, Breakdown and Refine return ErrNoTrace
+// (CausalitySource over the archive takes the restored Matrix).
 func DecodeStoredResult(rd io.Reader) (*Result, error) {
 	var sr storedResult
 	if err := gob.NewDecoder(rd).Decode(&sr); err != nil {

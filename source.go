@@ -78,18 +78,7 @@ func (s *traceStreams) Trace() *Trace        { return s.tr }
 func (s *traceStreams) Close() error         { return nil }
 
 func (s *traceStreams) StreamRank(rank int, fn func(Event) error) error {
-	if rank < 0 || rank >= len(s.tr.Procs) {
-		return fmt.Errorf("perfvar: rank %d out of range", rank)
-	}
-	for _, ev := range s.tr.Procs[rank].Events {
-		if err := fn(ev); err != nil {
-			if err == ErrStopStream {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
+	return s.tr.StreamRank(rank, fn)
 }
 
 // rankStreamer is the shape the trace package's archive stream readers

@@ -11,6 +11,7 @@ package perfvar
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -167,9 +168,50 @@ func TestStreamingWorkloadSource(t *testing.T) {
 	assertResultsEqual(t, "workload", want, res)
 }
 
-// TestStreamingResultGuards: operations that need the full event stream
-// must fail with ErrNoTrace on streaming results, and Refine must
-// re-stream the retained source instead.
+// assertViewsEqual compares the views that stream a result's source
+// again: the causality JSON and the top hotspot's breakdown.
+func assertViewsEqual(t *testing.T, label string, want, got *Result) {
+	t.Helper()
+	wantCaus, err := want.Causality()
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	gotCaus, err := got.Causality()
+	if err != nil {
+		t.Fatalf("%s: Causality: %v", label, err)
+	}
+	wantJSON, err := json.Marshal(wantCaus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, err := json.Marshal(gotCaus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wantJSON, gotJSON) {
+		t.Errorf("%s: causality JSON differs:\n want %s\n got  %s", label, wantJSON, gotJSON)
+	}
+	if len(want.Analysis.Hotspots) == 0 {
+		t.Fatalf("%s: no hotspot to break down", label)
+	}
+	top := want.Analysis.Hotspots[0].Segment
+	wantEntries, err := want.Breakdown(top)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	gotEntries, err := got.Breakdown(top)
+	if err != nil {
+		t.Fatalf("%s: Breakdown: %v", label, err)
+	}
+	if !reflect.DeepEqual(wantEntries, gotEntries) {
+		t.Errorf("%s: breakdown differs:\n want %+v\n got  %+v", label, wantEntries, gotEntries)
+	}
+}
+
+// TestStreamingResultGuards: Causality and Breakdown stream a streaming
+// result's source again and must equal the materialized result's views
+// on every archive layout; Refine must re-stream the retained source;
+// SlowestIterationsTrace still needs a materialized trace.
 func TestStreamingResultGuards(t *testing.T) {
 	cfg := workloads.DefaultFD4()
 	cfg.Ranks = 16
@@ -183,30 +225,40 @@ func TestStreamingResultGuards(t *testing.T) {
 	if err := SaveTrace(path, tr); err != nil {
 		t.Fatal(err)
 	}
-	res, err := AnalyzeSource(context.Background(), FileSource(path), Options{})
-	if err != nil {
+	archiveDir := filepath.Join(dir, "fd4.pvtd")
+	if err := SaveTraceDir(archiveDir, tr); err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace != nil {
-		t.Fatal("expected a streaming result")
-	}
-	if _, err := res.Causality(); err != ErrNoTrace {
-		t.Errorf("Causality error = %v, want ErrNoTrace", err)
-	}
-	if len(res.Analysis.Hotspots) > 0 {
-		if _, err := res.Breakdown(res.Analysis.Hotspots[0].Segment); err != ErrNoTrace {
-			t.Errorf("Breakdown error = %v, want ErrNoTrace", err)
-		}
-	}
-	if sub := res.SlowestIterationsTrace(2); sub != nil {
-		t.Error("SlowestIterationsTrace on a streaming result should be nil")
-	}
-
-	refined, err := res.Refine(Options{})
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	matRes, err := Analyze(tr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		label string
+		src   Source
+	}{{"file", FileSource(path)}, {"dir", FileSource(archiveDir)}, {"archive", ArchiveSource(raw)}} {
+		res, err := AnalyzeSource(context.Background(), c.src, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Trace != nil {
+			t.Fatalf("%s: expected a streaming result", c.label)
+		}
+		assertViewsEqual(t, c.label, matRes, res)
+		if sub := res.SlowestIterationsTrace(2); sub != nil {
+			t.Errorf("%s: SlowestIterationsTrace on a streaming result should be nil", c.label)
+		}
+	}
+
+	res, err := AnalyzeSource(context.Background(), FileSource(path), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refined, err := res.Refine(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

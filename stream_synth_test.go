@@ -55,6 +55,7 @@ func TestSyntheticSourceEquivalence(t *testing.T) {
 		t.Fatalf("engine = %q, trace = %v; want pure streaming", got.Engine, got.Trace != nil)
 	}
 	assertResultsEqual(t, "synthetic", want, got)
+	assertViewsEqual(t, "synthetic", want, got)
 
 	// A tiny candidate budget evicts the winner and forces the fallback
 	// pass — the result must not change.
