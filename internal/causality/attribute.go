@@ -2,6 +2,7 @@ package causality
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"perfvar/internal/core/segment"
@@ -88,16 +89,16 @@ func Analyze(g *Graph, opts Options) *Analysis {
 	}
 	an := &Analysis{Graph: g}
 
-	// Direct blame per node and incoming late-sender waits per node.
-	direct := map[Node]trace.Duration{}
-	inEdges := map[Node][]Edge{}
+	// Direct blame, origin scores and the propagator's state are dense
+	// per-node slices (see nodeIndex).
+	ix := newNodeIndex(g)
+	direct := make([]trace.Duration, ix.size())
 	for _, e := range g.Edges {
 		switch e.Kind {
 		case LateSender:
 			an.LateSenderWait += e.Wait
 			an.LateSenderCount += e.Count
-			direct[e.Causer] += e.Wait
-			inEdges[e.Waiter] = append(inEdges[e.Waiter], e)
+			direct[ix.slot(e.Causer)] += e.Wait
 		case LateReceiver:
 			an.LateReceiverSlack += e.Slack
 			an.LateReceiverCount += e.Count
@@ -108,32 +109,24 @@ func Analyze(g *Graph, opts Options) *Analysis {
 		for _, a := range c.Arrivals {
 			an.CollectiveWait += a.Wait
 			if a.Blame > 0 {
-				direct[a.Node] += a.Blame
+				direct[ix.slot(a.Node)] += a.Blame
 			}
 		}
 	}
 
 	// Wait-chain propagation: fold each node's direct blame back onto
-	// its originating nodes.
-	pr := &propagator{
-		inEdges: inEdges,
-		excess:  excessSOS(g.Matrix),
-		memo:    map[Node][]share{},
-		onPath:  map[Node]bool{},
-	}
-	blamed := make([]Node, 0, len(direct))
-	for n := range direct {
-		blamed = append(blamed, n)
-	}
-	sort.Slice(blamed, func(i, j int) bool { return nodeLess(blamed[i], blamed[j]) })
-	scores := map[Node]float64{}
-	for _, n := range blamed {
-		b := float64(direct[n])
-		if b <= 0 {
+	// its originating nodes. Slots run in nodeLess order, so the blamed
+	// nodes are visited, and every origin's score summed, in the same
+	// order as a sorted node list would give.
+	pr := newPropagator(g, ix)
+	scores := make([]float64, ix.size())
+	for i, d := range direct {
+		if d <= 0 {
 			continue
 		}
-		for _, sh := range pr.dist(n) {
-			scores[sh.origin] += b * sh.weight
+		b := float64(d)
+		for _, sh := range pr.dist(ix.node(i)) {
+			scores[ix.slot(sh.origin)] += b * sh.weight
 		}
 	}
 
@@ -142,10 +135,10 @@ func Analyze(g *Graph, opts Options) *Analysis {
 		n Node
 		v float64
 	}
-	list := make([]scored, 0, len(scores))
-	for n, v := range scores {
+	var list []scored
+	for i, v := range scores {
 		if v >= minScore {
-			list = append(list, scored{n, v})
+			list = append(list, scored{ix.node(i), v})
 		}
 	}
 	sort.Slice(list, func(i, j int) bool {
@@ -155,23 +148,26 @@ func Analyze(g *Graph, opts Options) *Analysis {
 		return nodeLess(list[i].n, list[j].n)
 	})
 
-	perRank := map[trace.Rank]*RankAttribution{}
+	perRank := make([]RankAttribution, ix.rows) // Segments == 0: no blame
+	nranks := 0
 	for _, s := range list {
 		caused := trace.Duration(s.v + 0.5)
-		ra := perRank[s.n.Rank]
-		if ra == nil {
-			ra = &RankAttribution{Rank: s.n.Rank, WorstSegment: s.n.Segment}
-			perRank[s.n.Rank] = ra
+		ra := &perRank[s.n.Rank]
+		if ra.Segments == 0 {
+			*ra = RankAttribution{Rank: s.n.Rank, WorstSegment: s.n.Segment}
+			nranks++
 		}
 		ra.CausedWait += caused
 		ra.Segments++
 		if len(an.Candidates) < maxCand {
-			an.Candidates = append(an.Candidates, candidate(g, s.n, caused, direct[s.n]))
+			an.Candidates = append(an.Candidates, candidate(g, s.n, caused, direct[ix.slot(s.n)]))
 		}
 	}
-	an.Ranks = make([]RankAttribution, 0, len(perRank))
+	an.Ranks = make([]RankAttribution, 0, nranks)
 	for _, ra := range perRank {
-		an.Ranks = append(an.Ranks, *ra)
+		if ra.Segments > 0 {
+			an.Ranks = append(an.Ranks, ra)
+		}
 	}
 	sort.Slice(an.Ranks, func(i, j int) bool {
 		if an.Ranks[i].CausedWait != an.Ranks[j].CausedWait {
@@ -246,37 +242,62 @@ func topFunction(regions []trace.Region, entries []segment.BreakdownEntry) strin
 	return entries[0].Name
 }
 
-// excessSOS computes each segment's SOS-time excess over its iteration
-// column's median — the node's own contribution to lateness. A rank
-// that merely waits resumes with normal SOS and zero excess; a straggler
-// shows the full surplus.
-func excessSOS(m *segment.Matrix) map[Node]trace.Duration {
-	out := map[Node]trace.Duration{}
-	columns := 0
-	for _, segs := range m.PerRank {
-		if len(segs) > columns {
-			columns = len(segs)
+// nodeIndex maps the nodes of one graph to dense slots: Node{r, s} sits
+// at r·stride+s+1, one slot per matrix segment plus one per rank for
+// segment -1 (times outside the matrix). Slot order is nodeLess order.
+type nodeIndex struct{ rows, stride int }
+
+// newNodeIndex sizes the slots to the matrix and to every node of g's
+// edges and collective arrivals.
+func newNodeIndex(g *Graph) nodeIndex {
+	rows, columns := max(g.Ranks, len(g.Matrix.PerRank)), 0
+	for _, segs := range g.Matrix.PerRank {
+		columns = max(columns, len(segs))
+	}
+	grow := func(n Node) {
+		rows, columns = max(rows, int(n.Rank)+1), max(columns, n.Segment+1)
+	}
+	for _, e := range g.Edges {
+		grow(e.Causer)
+		grow(e.Waiter)
+	}
+	for _, c := range g.Collectives {
+		for _, a := range c.Arrivals {
+			grow(a.Node)
 		}
 	}
-	for col := 0; col < columns; col++ {
-		var sos []trace.Duration
+	return nodeIndex{rows: rows, stride: columns + 1}
+}
+
+func (ix nodeIndex) size() int       { return ix.rows * ix.stride }
+func (ix nodeIndex) slot(n Node) int { return int(n.Rank)*ix.stride + n.Segment + 1 }
+func (ix nodeIndex) node(i int) Node {
+	return Node{Rank: trace.Rank(i / ix.stride), Segment: i%ix.stride - 1}
+}
+
+// excessSOS computes each segment's SOS-time excess over its iteration
+// column's median, per slot of ix — the node's own contribution to
+// lateness. A rank that merely waits resumes with normal SOS and zero
+// excess; a straggler shows the full surplus.
+func excessSOS(m *segment.Matrix, ix nodeIndex) []trace.Duration {
+	out := make([]trace.Duration, ix.size())
+	sorted := make([]trace.Duration, 0, len(m.PerRank))
+	for col := 0; col < ix.stride-1; col++ {
+		sorted = sorted[:0]
 		for _, segs := range m.PerRank {
 			if col < len(segs) {
-				sos = append(sos, segs[col].SOS())
+				sorted = append(sorted, segs[col].SOS())
 			}
 		}
-		sorted := append([]trace.Duration(nil), sos...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		if len(sorted) == 0 {
+			continue
+		}
+		slices.Sort(sorted)
 		med := sorted[len(sorted)/2]
 		for rank, segs := range m.PerRank {
-			if col >= len(segs) {
-				continue
+			if col < len(segs) {
+				out[ix.slot(Node{Rank: trace.Rank(rank), Segment: col})] = max(segs[col].SOS()-med, 0)
 			}
-			ex := segs[col].SOS() - med
-			if ex < 0 {
-				ex = 0
-			}
-			out[Node{Rank: trace.Rank(rank), Segment: col}] = ex
 		}
 	}
 	return out
@@ -294,62 +315,103 @@ type share struct {
 // late-sender waits, recursively. A pure relay (zero excess, all waits
 // inherited) forwards everything upstream; a true straggler (no
 // incoming waits) keeps everything.
+//
+// Every per-node field is indexed by ix slot; the incoming waits of the
+// node in slot s are in[inOff[s]:inOff[s+1]], in g.Edges order.
 type propagator struct {
-	inEdges map[Node][]Edge
-	excess  map[Node]trace.Duration
-	memo    map[Node][]share
-	onPath  map[Node]bool
+	ix     nodeIndex
+	inOff  []int32
+	in     []inEdge
+	excess []trace.Duration
+	memo   [][]share // nil until computed
+	onPath []bool
 	// self is scratch for the current node's own-share singleton during
 	// the merge in dist; it is only live between the recursive calls and
 	// the merge, so a single slot suffices.
 	self [1]share
 }
 
+// inEdge is one incoming late-sender wait of a node.
+type inEdge struct {
+	causer Node
+	wait   trace.Duration
+}
+
+func newPropagator(g *Graph, ix nodeIndex) *propagator {
+	p := &propagator{
+		ix:     ix,
+		inOff:  make([]int32, ix.size()+1),
+		excess: excessSOS(g.Matrix, ix),
+		memo:   make([][]share, ix.size()),
+		onPath: make([]bool, ix.size()),
+	}
+	for _, e := range g.Edges {
+		if e.Kind == LateSender {
+			p.inOff[ix.slot(e.Waiter)+1]++
+		}
+	}
+	for s := 0; s < ix.size(); s++ {
+		p.inOff[s+1] += p.inOff[s]
+	}
+	p.in = make([]inEdge, p.inOff[ix.size()])
+	next := append([]int32(nil), p.inOff[:ix.size()]...)
+	for _, e := range g.Edges {
+		if e.Kind == LateSender {
+			s := ix.slot(e.Waiter)
+			p.in[next[s]] = inEdge{e.Causer, e.Wait}
+			next[s]++
+		}
+	}
+	return p
+}
+
 func (p *propagator) dist(n Node) []share {
-	if d, ok := p.memo[n]; ok {
+	s := p.ix.slot(n)
+	if d := p.memo[s]; d != nil {
 		return d
 	}
-	if p.onPath[n] {
+	if p.onPath[s] {
 		// Dependency cycle (mutual late sends): cut it by keeping the
 		// blame at the revisited node.
 		return []share{{n, 1}}
 	}
+	in := p.in[p.inOff[s]:p.inOff[s+1]]
 	var waitIn trace.Duration
-	for _, e := range p.inEdges[n] {
-		waitIn += e.Wait
+	for _, e := range in {
+		waitIn += e.wait
 	}
 	if waitIn <= 0 {
 		d := []share{{n, 1}}
-		p.memo[n] = d
+		p.memo[s] = d
 		return d
 	}
-	p.onPath[n] = true
-	own := p.excess[n]
+	p.onPath[s] = true
+	own := p.excess[s]
 	f := float64(waitIn) / float64(waitIn+own)
 	// Weighted child distributions plus the own share as a k-way merge of
 	// origin-sorted lists: per origin the weighted contributions add in
-	// part order (own share first, then inEdges order) — the same float
-	// accumulation order the map-based aggregation used, without a
+	// part order (own share first, then incoming-wait order) — the same
+	// float accumulation order the map-based aggregation used, without a
 	// temporary map per node.
 	type wdist struct {
 		w    float64
 		d    []share
 		next int
 	}
-	parts := make([]wdist, 0, len(p.inEdges[n])+1)
+	parts := make([]wdist, 0, len(in)+1)
 	if f < 1 {
 		parts = append(parts, wdist{w: 1 - f, d: p.self[:]})
 	}
-	for _, e := range p.inEdges[n] {
-		w := f * float64(e.Wait) / float64(waitIn)
-		parts = append(parts, wdist{w: w, d: p.dist(e.Causer)})
+	for _, e := range in {
+		w := f * float64(e.wait) / float64(waitIn)
+		parts = append(parts, wdist{w: w, d: p.dist(e.causer)})
 	}
 	if len(parts) > 0 && f < 1 {
 		// p.self is shared scratch: fill it only after the recursive
 		// dist calls above are done with it.
 		p.self[0] = share{n, 1}
 	}
-	delete(p.onPath, n)
+	p.onPath[s] = false
 	// First merge pass counts the distinct origins so the memoized slice
 	// is allocated at its exact final size; the second accumulates.
 	distinct := 0
@@ -389,7 +451,7 @@ func (p *propagator) dist(n Node) []share {
 			}
 		}
 		if pass == 1 {
-			p.memo[n] = d
+			p.memo[s] = d
 			return d
 		}
 		for i := range parts {

@@ -61,7 +61,14 @@ func DependencyGraph(ctx context.Context, src Streams, m *segment.Matrix) (*caus
 	ops := make([][]opRec, nranks)
 	err := parallel.ForEachCtx(ctx, nranks, func(rank int) error {
 		scan := causality.NewRankScanner(regions)
-		var rops []opRec
+		// Ops accumulate in pooled scratch and are copied out at exact
+		// size, as StreamRun.EndRank does.
+		sp := opScratch.Get().(*[]opRec)
+		rops := (*sp)[:0]
+		defer func() {
+			*sp = rops[:0]
+			opScratch.Put(sp)
+		}()
 		i := 0
 		if err := src.StreamRank(rank, func(ev trace.Event) error {
 			scan.Feed(ev)
@@ -73,7 +80,11 @@ func DependencyGraph(ctx context.Context, src Streams, m *segment.Matrix) (*caus
 		}); err != nil {
 			return err
 		}
-		scans[rank], ops[rank] = scan, rops
+		scans[rank] = scan
+		if len(rops) > 0 {
+			ops[rank] = make([]opRec, len(rops))
+			copy(ops[rank], rops)
+		}
 		return nil
 	})
 	if err != nil {

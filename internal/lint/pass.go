@@ -1,16 +1,20 @@
 package lint
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"perfvar/internal/causality"
 	"perfvar/internal/clockfix"
 	"perfvar/internal/core/dominant"
 	"perfvar/internal/core/segment"
+	"perfvar/internal/parallel"
 	"perfvar/internal/trace"
 )
 
@@ -100,7 +104,9 @@ func (p *Pass) Messages() *Messages {
 }
 
 // ClockPairs returns the matched send/recv timestamp pairs used by
-// clock-skew analysis (all communication ops, no peer filtering).
+// clock-skew analysis, sorted by (SendTime, Src, Dst). They are the
+// Messages pairs: ops addressing out-of-range peers never pair, exactly
+// as in clockfix.MatchOps.
 func (p *Pass) ClockPairs() []clockfix.Pair {
 	p.facts.clockOnce.Do(p.facts.computeClockPairs)
 	return p.facts.clockPairs
@@ -286,14 +292,17 @@ func (f *facts) computeClockPairs() {
 			SendTime: p.Send.Time, RecvTime: p.Recv.Time,
 		}
 	}
-	sortSlice(pairs, func(a, b clockfix.Pair) bool {
+	// slices.SortFunc runs the same pdqsort as sort.Slice, so pairs tied
+	// on the key keep sort.Slice's order (the diagnostics' cut-offs and
+	// clockfix's sweep depend on it), without the indirect swapper.
+	slices.SortFunc(pairs, func(a, b clockfix.Pair) int {
 		if a.SendTime != b.SendTime {
-			return a.SendTime < b.SendTime
+			return cmp.Compare(a.SendTime, b.SendTime)
 		}
 		if a.Src != b.Src {
-			return a.Src < b.Src
+			return cmp.Compare(a.Src, b.Src)
 		}
-		return a.Dst < b.Dst
+		return cmp.Compare(a.Dst, b.Dst)
 	})
 	f.clockPairs = pairs
 }
@@ -318,148 +327,153 @@ func (f *facts) computeDeps() {
 }
 
 // matchOps pairs sends and receives per (src, dst, tag) channel in FIFO
-// order over the compact op summaries. Ops addressing out-of-range
-// peers are excluded (the msgmatch structural checks report them).
+// order over the compact op summaries, one slice per rank (len(ops) is
+// nranks). Ops addressing out-of-range peers are excluded (the msgmatch
+// structural checks report them).
+//
+// A send's channel is (Rank → Peer, Tag), a recv's (Peer → Rank, Tag),
+// so each side of a channel lives on a single rank, in event order. The
+// matching runs in three rank-parallel phases and never sorts globally:
+// each rank indexes its own ops by channel; each receiving rank zips its
+// receive runs with the sender's matching send runs; each rank then
+// writes its pairs and unmatched ops at prefix-sum offsets. Pairs come
+// out in (Recv.Rank, Recv.Event) order and the unmatched lists in
+// (Rank, Event) order.
 func matchOps(nranks int, ops [][]opRec) Messages {
-	var msgs Messages
-	var nsend, nrecv int
+	valid := func(op *opRec) bool { return op.peer >= 0 && int(op.peer) < nranks }
+	// Every rank's index takes two int32s per op, carved from one
+	// exact-size allocation.
+	base := make([]int, len(ops)+1)
+	for rank, rops := range ops {
+		base[rank+1] = base[rank] + 2*len(rops)
+	}
+	buf := make([]int32, base[len(ops)])
+	idx := make([]chanIndex, len(ops))
+	parallel.Do(len(ops), func(rank int) {
+		idx[rank] = newChanIndex(ops[rank], valid, buf[base[rank]:base[rank+1]])
+	})
+
+	// Zip: per peer, a receiving rank's receives and the peer's sends to
+	// it are both sorted by (tag, position), so one merge pairs the k-th
+	// receive of every channel with its k-th send. Each send is claimed
+	// only by the rank it addresses, so the cross-rank partner writes
+	// never collide.
+	npairs := make([]int, len(ops))
+	sendsMatched := make([]atomic.Int64, len(ops))
+	parallel.Do(len(ops), func(rank int) {
+		rops, ix := ops[rank], &idx[rank]
+		me := trace.Rank(rank)
+		for i := 0; i < len(ix.recvs); {
+			src := rops[ix.recvs[i]].peer
+			sops, sx := ops[src], &idx[src]
+			k, _ := slices.BinarySearchFunc(sx.sends, me, func(s int32, peer trace.Rank) int {
+				return cmp.Compare(sops[s].peer, peer)
+			})
+			m := 0
+			for i < len(ix.recvs) && rops[ix.recvs[i]].peer == src {
+				r := ix.recvs[i]
+				for k < len(sx.sends) && sops[sx.sends[k]].peer == me && sops[sx.sends[k]].tag < rops[r].tag {
+					k++
+				}
+				if k < len(sx.sends) && sops[sx.sends[k]].peer == me && sops[sx.sends[k]].tag == rops[r].tag {
+					s := sx.sends[k]
+					ix.partner[r], sx.partner[s] = s, r
+					k++
+					m++
+				}
+				i++
+			}
+			npairs[rank] += m
+			sendsMatched[src].Add(int64(m))
+		}
+	})
+
+	// Exact-size outputs at prefix-sum offsets.
+	pairOff := make([]int, len(ops)+1)
+	sendOff := make([]int, len(ops)+1)
+	recvOff := make([]int, len(ops)+1)
 	for rank := range ops {
-		for _, op := range ops[rank] {
-			if op.peer < 0 || int(op.peer) >= nranks {
+		pairOff[rank+1] = pairOff[rank] + npairs[rank]
+		sendOff[rank+1] = sendOff[rank] + len(idx[rank].sends) - int(sendsMatched[rank].Load())
+		recvOff[rank+1] = recvOff[rank] + len(idx[rank].recvs) - npairs[rank]
+	}
+	msgs := Messages{Pairs: make([]MsgPair, pairOff[len(ops)])}
+	if n := sendOff[len(ops)]; n > 0 {
+		msgs.UnmatchedSends = make([]MsgRef, n)
+	}
+	if n := recvOff[len(ops)]; n > 0 {
+		msgs.UnmatchedRecvs = make([]MsgRef, n)
+	}
+	parallel.Do(len(ops), func(rank int) {
+		rops, partner := ops[rank], idx[rank].partner
+		p, s, r := pairOff[rank], sendOff[rank], recvOff[rank]
+		for i := range rops {
+			op := &rops[i]
+			if !valid(op) {
 				continue
 			}
-			if op.recv {
-				nrecv++
-			} else {
-				nsend++
+			switch j := partner[i]; {
+			case !op.recv && j < 0:
+				msgs.UnmatchedSends[s] = msgRef(trace.Rank(rank), op)
+				s++
+			case op.recv && j < 0:
+				msgs.UnmatchedRecvs[r] = msgRef(trace.Rank(rank), op)
+				r++
+			case op.recv:
+				msgs.Pairs[p] = MsgPair{
+					Send: msgRef(op.peer, &ops[op.peer][j]),
+					Recv: msgRef(trace.Rank(rank), op),
+				}
+				p++
 			}
 		}
-	}
-	// The ops are sorted as packed (rank, index) handles — 8 bytes each —
-	// rather than materialized MsgRef temporaries; the refs are built only
-	// for the records that end up in the result.
-	sends := make([]int64, 0, nsend)
-	recvs := make([]int64, 0, nrecv)
-	for rank := range ops {
-		for idx, op := range ops[rank] {
-			if op.peer < 0 || int(op.peer) >= nranks {
-				continue
-			}
-			h := int64(rank)<<32 | int64(idx)
-			if op.recv {
-				recvs = append(recvs, h)
-			} else {
-				sends = append(sends, h)
-			}
-		}
-	}
-	rankOf := func(h int64) trace.Rank { return trace.Rank(h >> 32) }
-	opOf := func(h int64) *opRec { return &ops[h>>32][h&0xffffffff] }
-	mkRef := func(h int64) MsgRef {
-		op := opOf(h)
-		return MsgRef{
-			Rank: rankOf(h), Event: int(op.event), Time: op.time,
-			Peer: op.peer, Tag: op.tag, Bytes: op.bytes,
-		}
-	}
-	// A send's channel is (Rank → Peer, Tag), a recv's (Peer → Rank, Tag).
-	// All ops of one side of a channel live on a single rank and were
-	// collected in event order, so sorting by (channel, Event) is a total
-	// order that keeps the FIFO order within each channel. Within one
-	// rank the op index follows event order, so the packed handle's low
-	// half substitutes for the event number.
-	sortSlice(sends, func(a, b int64) bool {
-		ra, rb := rankOf(a), rankOf(b)
-		if ra != rb {
-			return ra < rb
-		}
-		oa, ob := opOf(a), opOf(b)
-		if oa.peer != ob.peer {
-			return oa.peer < ob.peer
-		}
-		if oa.tag != ob.tag {
-			return oa.tag < ob.tag
-		}
-		return a < b
-	})
-	sortSlice(recvs, func(a, b int64) bool {
-		oa, ob := opOf(a), opOf(b)
-		if oa.peer != ob.peer {
-			return oa.peer < ob.peer
-		}
-		ra, rb := rankOf(a), rankOf(b)
-		if ra != rb {
-			return ra < rb
-		}
-		if oa.tag != ob.tag {
-			return oa.tag < ob.tag
-		}
-		return a < b
-	})
-	// Merge the two channel-sorted lists: equal channels pair FIFO, the
-	// surplus side spills to unmatched.
-	chanCmp := func(s, r int64) int { // send channel vs recv channel
-		so, ro := opOf(s), opOf(r)
-		switch {
-		case rankOf(s) != ro.peer:
-			if rankOf(s) < ro.peer {
-				return -1
-			}
-			return 1
-		case so.peer != rankOf(r):
-			if so.peer < rankOf(r) {
-				return -1
-			}
-			return 1
-		case so.tag != ro.tag:
-			if so.tag < ro.tag {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	}
-	n := nsend
-	if nrecv < n {
-		n = nrecv
-	}
-	msgs.Pairs = make([]MsgPair, 0, n)
-	i, j := 0, 0
-	for i < len(sends) && j < len(recvs) {
-		switch c := chanCmp(sends[i], recvs[j]); {
-		case c < 0:
-			msgs.UnmatchedSends = append(msgs.UnmatchedSends, mkRef(sends[i]))
-			i++
-		case c > 0:
-			msgs.UnmatchedRecvs = append(msgs.UnmatchedRecvs, mkRef(recvs[j]))
-			j++
-		default:
-			msgs.Pairs = append(msgs.Pairs, MsgPair{Send: mkRef(sends[i]), Recv: mkRef(recvs[j])})
-			i++
-			j++
-		}
-	}
-	for ; i < len(sends); i++ {
-		msgs.UnmatchedSends = append(msgs.UnmatchedSends, mkRef(sends[i]))
-	}
-	for ; j < len(recvs); j++ {
-		msgs.UnmatchedRecvs = append(msgs.UnmatchedRecvs, mkRef(recvs[j]))
-	}
-	sortRefs := func(refs []MsgRef) {
-		sortSlice(refs, func(a, b MsgRef) bool {
-			if a.Rank != b.Rank {
-				return a.Rank < b.Rank
-			}
-			return a.Event < b.Event
-		})
-	}
-	sortRefs(msgs.UnmatchedSends)
-	sortRefs(msgs.UnmatchedRecvs)
-	sortSlice(msgs.Pairs, func(a, b MsgPair) bool {
-		if a.Recv.Rank != b.Recv.Rank {
-			return a.Recv.Rank < b.Recv.Rank
-		}
-		return a.Recv.Event < b.Recv.Event
 	})
 	return msgs
+}
+
+// chanIndex is one rank's channel index for matchOps: the positions of
+// its valid sends and receives in the rank's ops, each sorted by
+// (peer, tag, position) so that every channel is one FIFO-ordered run,
+// and each op's partner position in the peer's ops (-1 while unmatched).
+type chanIndex struct {
+	sends, recvs, partner []int32
+}
+
+// newChanIndex indexes rops in buf, which holds two int32s per op.
+func newChanIndex(rops []opRec, valid func(*opRec) bool, buf []int32) chanIndex {
+	partner, pos := buf[:len(rops)], buf[len(rops):]
+	ns, nr := 0, 0
+	for i := range rops {
+		partner[i] = -1
+		switch {
+		case !valid(&rops[i]):
+		case rops[i].recv:
+			nr++
+			pos[len(pos)-nr] = int32(i)
+		default:
+			pos[ns] = int32(i)
+			ns++
+		}
+	}
+	ix := chanIndex{sends: pos[:ns], recvs: pos[len(pos)-nr:], partner: partner}
+	byChannel := func(a, b int32) int {
+		oa, ob := &rops[a], &rops[b]
+		if oa.peer != ob.peer {
+			return cmp.Compare(oa.peer, ob.peer)
+		}
+		if oa.tag != ob.tag {
+			return cmp.Compare(oa.tag, ob.tag)
+		}
+		return cmp.Compare(a, b)
+	}
+	slices.SortFunc(ix.sends, byChannel)
+	slices.SortFunc(ix.recvs, byChannel)
+	return ix
+}
+
+func msgRef(rank trace.Rank, op *opRec) MsgRef {
+	return MsgRef{
+		Rank: rank, Event: int(op.event), Time: op.time,
+		Peer: op.peer, Tag: op.tag, Bytes: op.bytes,
+	}
 }
