@@ -15,11 +15,11 @@ race:
 
 # Run the figure benchmarks (each reproduces one paper figure's headline
 # numbers, plus the parallel-pipeline j1/j2/j4/jmax variants), the
-# streaming-vs-materialized engine and lint comparisons and the causality
-# miss path, then distill them into BENCH_pipeline.json, the benchmark
-# record tracked across PRs.
+# streaming-vs-materialized engine and lint comparisons, the causality
+# miss path and archive decode on its own, then distill them into
+# BENCH_pipeline.json, the benchmark record tracked across PRs.
 bench:
-	$(GO) test -run '^$$' -bench 'Fig|AnalyzeStream|AnalyzeSynthetic|LintStream|CausalityStream' -benchmem -count 1 . | tee bench.out
+	$(GO) test -run '^$$' -bench 'Fig|AnalyzeStream|AnalyzeSynthetic|LintStream|CausalityStream|StreamDecode' -benchmem -count 1 . | tee bench.out
 	python3 scripts/bench_to_json.py bench.out > BENCH_pipeline.json
 
 lint:

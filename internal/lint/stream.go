@@ -101,7 +101,13 @@ type rankCollector struct {
 	syncs     []SyncDepth
 	syncSeen  map[SyncDepth]bool
 	scan      *causality.RankScanner
+	_         cacheLinePad
 }
+
+// cacheLinePad ends per-rank state that a worker updates on every event
+// (event counters above all), so that ranks streamed concurrently never
+// share a cache line and invalidate each other's on every event.
+type cacheLinePad [64]byte
 
 // NewStreamRun prepares an incremental lint run over a trace with the
 // given header and rank count. Options are interpreted exactly as by

@@ -122,6 +122,7 @@ type metricSample struct {
 type metricRankState struct {
 	next      int
 	perMetric map[trace.MetricID][]metricSample
+	_         cacheLinePad
 }
 
 type metricmodeVisitor struct {
@@ -216,6 +217,7 @@ type msgRankState struct {
 	prev     trace.Event
 	prevIdx  int
 	havePrev bool
+	_        cacheLinePad
 }
 
 type msgmatchVisitor struct {

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // Shared event codec used by the single-file (PVTR) and directory (PVTA/
@@ -54,8 +56,8 @@ func (e *eventEncoder) encode(ev Event) error {
 	return nil
 }
 
-// byteReader is what the definition parser consumes: both *bufio.Reader
-// (streaming reads) and *bytes.Reader (in-memory archives) satisfy it.
+// byteReader is what the definition parser consumes: *bufio.Reader,
+// *bytes.Reader and the event decoder itself all satisfy it.
 type byteReader interface {
 	io.ByteReader
 	io.Reader
@@ -67,22 +69,34 @@ type byteReader interface {
 // so a whole event can always be decoded from one contiguous slice.
 const maxEventEncodedLen = 1 + binary.MaxVarintLen64 + 3*binary.MaxVarintLen64
 
+// eventBatchLen is the length of the stack batch decodeEach decodes into
+// before handing the events to its callback.
+const eventBatchLen = 128
+
 var (
 	errTruncated      = io.ErrUnexpectedEOF
 	errVarintOverflow = errors.New("varint overflows a 64-bit integer")
 )
 
 // eventDecoder decodes the event stream from an in-memory window,
-// refilling from an optional underlying reader. Working on a byte slice
-// keeps the per-event loop free of interface dispatch: varints are read
-// with binary.Uvarint on the window instead of byte-at-a-time
-// io.ByteReader calls, which is what makes single-pass streaming decode
-// competitive with (and faster than) materialized block decode.
+// refilling from an optional underlying reader. Two constructions share
+// the struct: newSliceDecoder wraps a complete in-memory block (refills
+// never happen, decode is zero-copy), and newStreamDecoder couples a
+// reusable window buffer to an io.Reader for blocks larger than memory.
+// The decoder is also the io.ByteReader/io.Reader the definitions,
+// event counts and end marker around the blocks are parsed through, so
+// one window serves a whole archive.
 //
-// Two constructions share the struct: newSliceDecoder wraps a complete
-// in-memory block (refills never happen, decode is zero-copy), and
-// newStreamDecoder couples a reusable window buffer to an io.Reader for
-// blocks larger than memory.
+// Events decode through one run kernel, decodeRun, and framing is
+// validated by one skipper, skip. Both keep the window, the position
+// and the running timestamp in locals for a whole run, and whenever a
+// whole event fits in the window (maxEventEncodedLen bytes) they handle
+// the common shapes inline: 1–3-byte varints in decodeRun, an 8-byte
+// word scan for varint terminators in skip. Everything else — longer
+// varints, out-of-range ids, unknown kinds, truncation, window refills —
+// goes to one out-of-line function each (decodeOne, skipOne), which
+// handles a single event with every check, so each error text and
+// offset has exactly one source.
 type eventDecoder struct {
 	r       io.Reader // refill source; nil when buf holds the whole block
 	buf     []byte
@@ -90,7 +104,7 @@ type eventDecoder struct {
 	end     int
 	srcEOF  bool
 	readErr error // sticky non-EOF refill failure
-	base    int64 // absolute offset of buf[0] within the block
+	base    int64 // offset of buf[0] from the input's start or the rebase point
 	t       Time
 	// reference bounds for validation
 	nregions, nmetrics, nprocs uint64
@@ -113,10 +127,18 @@ func newStreamDecoder(r io.Reader, buf []byte, nregions, nmetrics, nprocs uint64
 	}
 }
 
-// offset returns the absolute byte offset of the next undecoded byte,
-// counted from the start of the event block — the location truncation
-// and corruption errors report.
+// offset returns the byte offset of the next undecoded byte, counted
+// from the start of the decoder's input (or the rebase point) — the
+// location truncation and corruption errors report.
 func (d *eventDecoder) offset() int64 { return d.base + int64(d.pos) }
+
+// rebase makes offsets count from the current position, for streams
+// whose error offsets are located from the start of their events rather
+// than from the start of the file.
+func (d *eventDecoder) rebase() { d.base = -int64(d.pos) }
+
+// canRefill reports whether the source may still deliver bytes.
+func (d *eventDecoder) canRefill() bool { return !d.srcEOF && d.readErr == nil }
 
 // refill slides the undecoded tail to the front of the window and reads
 // until the window is full or the source is exhausted.
@@ -124,7 +146,7 @@ func (d *eventDecoder) refill() {
 	d.base += int64(d.pos)
 	n := copy(d.buf, d.buf[d.pos:d.end])
 	d.pos, d.end = 0, n
-	for d.end < len(d.buf) && !d.srcEOF && d.readErr == nil {
+	for d.end < len(d.buf) && d.canRefill() {
 		n, err := d.r.Read(d.buf[d.end:])
 		d.end += n
 		if err == io.EOF {
@@ -133,6 +155,43 @@ func (d *eventDecoder) refill() {
 			d.readErr = err
 		}
 	}
+}
+
+// ReadByte reads one byte outside the event blocks.
+func (d *eventDecoder) ReadByte() (byte, error) {
+	if d.pos == d.end && d.canRefill() {
+		d.refill()
+	}
+	if d.pos == d.end {
+		return 0, d.endErr()
+	}
+	b := d.buf[d.pos]
+	d.pos++
+	return b, nil
+}
+
+// Read reads bytes outside the event blocks.
+func (d *eventDecoder) Read(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	if d.pos == d.end && d.canRefill() {
+		d.refill()
+	}
+	if d.pos == d.end {
+		return 0, d.endErr()
+	}
+	n := copy(p, d.buf[d.pos:d.end])
+	d.pos += n
+	return n, nil
+}
+
+// endErr is what ReadByte and Read return once the window is drained.
+func (d *eventDecoder) endErr() error {
+	if d.readErr != nil {
+		return d.readErr
+	}
+	return io.EOF
 }
 
 // fail wraps a decode failure with the field name and byte offset.
@@ -163,7 +222,7 @@ func (d *eventDecoder) uvarint(field string) (uint64, error) {
 // The error is raw (truncation or overflow), for the caller to wrap with
 // the rank it was parsing.
 func (d *eventDecoder) blockCount() (uint64, error) {
-	if d.end-d.pos < maxEventEncodedLen && !d.srcEOF && d.readErr == nil {
+	if d.end-d.pos < maxEventEncodedLen && d.canRefill() {
 		d.refill()
 	}
 	v, n := binary.Uvarint(d.buf[d.pos:d.end])
@@ -183,7 +242,7 @@ func (d *eventDecoder) blockCount() (uint64, error) {
 
 // tail returns up to n trailing bytes (the end marker) from the window.
 func (d *eventDecoder) tail(n int) []byte {
-	if d.end-d.pos < n && !d.srcEOF && d.readErr == nil {
+	if d.end-d.pos < n && d.canRefill() {
 		d.refill()
 	}
 	if d.end-d.pos < n {
@@ -192,122 +251,311 @@ func (d *eventDecoder) tail(n int) []byte {
 	return d.buf[d.pos : d.pos+n]
 }
 
-// decode reads one event.
-func (d *eventDecoder) decode() (Event, error) {
-	if d.end-d.pos < maxEventEncodedLen && !d.srcEOF && d.readErr == nil {
+// knownKind reports whether k is one of the five event kinds.
+func knownKind(k EventKind) bool { return k <= KindMetric }
+
+// eventWindow is the view the run kernels take of a window position with
+// a whole event's worth of bytes after it: constant offsets into it need
+// no bounds checks.
+type eventWindow = [maxEventEncodedLen]byte
+
+// uvarint3 decodes the 1–3-byte varint at w[k:] — every timestamp delta,
+// id and tag of a typical trace — and returns it with the offset after
+// it, or a zero offset for a longer varint, which the run kernel leaves
+// to decodeOne. Overlong encodings (0x80 0x00) decode as binary.Uvarint
+// decodes them.
+func uvarint3(w *eventWindow, k int) (uint64, int) {
+	b0 := uint64(w[k])
+	if b0 < 0x80 {
+		return b0, k + 1
+	}
+	b1 := uint64(w[k+1])
+	if b1 < 0x80 {
+		return b0&0x7f | b1<<7, k + 2
+	}
+	b2 := uint64(w[k+2])
+	if b2 < 0x80 {
+		return b0&0x7f | (b1&0x7f)<<7 | b2<<14, k + 3
+	}
+	return 0, 0
+}
+
+// set stores every field of e one by one: a composite literal would be
+// built on the stack and block-copied, and the wide loads of that copy
+// stall on the narrow stores just made.
+func (e *Event) set(t Time, kind EventKind, reg RegionID, mid MetricID, v float64, peer Rank, tag int32, nbytes int64) {
+	e.Time, e.Kind, e.Region, e.Metric, e.Value, e.Peer, e.Tag, e.Bytes = t, kind, reg, mid, v, peer, tag, nbytes
+}
+
+// decodeRun decodes len(dst) events into dst. It returns len(dst), or on
+// a failure the index of the failing event and its error, with every
+// event before it decoded.
+func (d *eventDecoder) decodeRun(dst []Event) (int, error) {
+	buf, pos, end, t := d.buf, d.pos, d.end, d.t
+	nregions, nmetrics, nprocs := d.nregions, d.nmetrics, d.nprocs
+	for i := range dst {
+		if end-pos >= maxEventEncodedLen {
+			w := (*eventWindow)(buf[pos:])
+			if dt, k := uvarint3(w, 1); k != 0 {
+				switch kind := EventKind(w[0]); kind {
+				case KindEnter, KindLeave:
+					if reg, k := uvarint3(w, k); k != 0 && reg < nregions {
+						t += Time(dt)
+						dst[i].set(t, kind, RegionID(reg), NoMetric, 0, NoRank, 0, 0)
+						pos += k
+						continue
+					}
+				case KindMetric:
+					if mid, k := uvarint3(w, k); k != 0 && mid < nmetrics {
+						t += Time(dt)
+						v := math.Float64frombits(binary.LittleEndian.Uint64(w[k:]))
+						dst[i].set(t, kind, NoRegion, MetricID(mid), v, NoRank, 0, 0)
+						pos += k + 8
+						continue
+					}
+				case KindSend, KindRecv:
+					peer, k := uvarint3(w, k)
+					if k == 0 || peer >= nprocs {
+						break
+					}
+					utag, k := uvarint3(w, k)
+					if k == 0 {
+						break
+					}
+					nbytes, k := uvarint3(w, k)
+					if k == 0 {
+						break
+					}
+					tag := int64(utag >> 1) // zigzag, as binary.Varint
+					if utag&1 != 0 {
+						tag = ^tag
+					}
+					t += Time(dt)
+					dst[i].set(t, kind, NoRegion, NoMetric, 0, Rank(peer), int32(tag), int64(nbytes))
+					pos += k
+					continue
+				}
+			}
+		}
+		d.pos, d.t = pos, t
+		if err := d.decodeOne(&dst[i]); err != nil {
+			return i, err
+		}
+		buf, pos, end, t = d.buf, d.pos, d.end, d.t
+	}
+	d.pos, d.t = pos, t
+	return len(dst), nil
+}
+
+// decodeOne is decodeRun's out-of-line path: it decodes the one event at
+// d.pos with every check, refilling the window first when the source
+// has more. On failure d.pos is left where the failing field starts (at
+// the kind byte for an unknown kind, which is checked first).
+func (d *eventDecoder) decodeOne(ev *Event) error {
+	if d.end-d.pos < maxEventEncodedLen && d.canRefill() {
 		d.refill()
 	}
 	if d.pos >= d.end {
-		return Event{}, d.fail("kind", errTruncated)
+		return d.fail("kind", errTruncated)
 	}
 	kb := d.buf[d.pos]
+	if !knownKind(EventKind(kb)) {
+		return formatf("unknown event kind %d at byte %d", kb, d.offset())
+	}
 	d.pos++
 	dt, err := d.uvarint("time")
 	if err != nil {
-		return Event{}, err
+		return err
 	}
 	d.t += Time(dt)
-	ev := Event{Time: d.t, Kind: EventKind(kb), Region: NoRegion, Metric: NoMetric, Peer: NoRank}
+	*ev = Event{Time: d.t, Kind: EventKind(kb), Region: NoRegion, Metric: NoMetric, Peer: NoRank}
 	switch ev.Kind {
 	case KindEnter, KindLeave:
 		reg, err := d.uvarint("region")
 		if err != nil {
-			return Event{}, err
+			return err
 		}
 		if reg >= d.nregions {
-			return Event{}, formatf("event region %d out of range at byte %d", reg, d.offset())
+			return formatf("event region %d out of range at byte %d", reg, d.offset())
 		}
 		ev.Region = RegionID(reg)
 	case KindMetric:
 		mid, err := d.uvarint("metric")
 		if err != nil {
-			return Event{}, err
+			return err
 		}
 		if mid >= d.nmetrics {
-			return Event{}, formatf("event metric %d out of range at byte %d", mid, d.offset())
+			return formatf("event metric %d out of range at byte %d", mid, d.offset())
 		}
 		ev.Metric = MetricID(mid)
 		if d.end-d.pos < 8 {
-			return Event{}, d.fail("value", errTruncated)
+			return d.fail("value", errTruncated)
 		}
 		ev.Value = math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.pos:]))
 		d.pos += 8
 	case KindSend, KindRecv:
 		peer, err := d.uvarint("peer")
 		if err != nil {
-			return Event{}, err
+			return err
 		}
 		if peer >= d.nprocs {
-			return Event{}, formatf("event peer %d out of range at byte %d", peer, d.offset())
+			return formatf("event peer %d out of range at byte %d", peer, d.offset())
 		}
 		ev.Peer = Rank(peer)
 		tag, n := binary.Varint(d.buf[d.pos:d.end])
 		if n <= 0 {
 			if n < 0 {
-				return Event{}, d.fail("tag", errVarintOverflow)
+				return d.fail("tag", errVarintOverflow)
 			}
-			return Event{}, d.fail("tag", errTruncated)
+			return d.fail("tag", errTruncated)
 		}
 		d.pos += n
 		ev.Tag = int32(tag)
 		nbytes, err := d.uvarint("bytes")
 		if err != nil {
-			return Event{}, err
+			return err
 		}
 		ev.Bytes = int64(nbytes)
-	default:
-		return Event{}, formatf("unknown event kind %d at byte %d", kb, d.offset())
 	}
-	return ev, nil
+	return nil
 }
 
-// skipEvents scans n encoded events at the start of data without decoding
-// their payloads and returns the byte length of the block. The events are
-// self-delimiting but the archive carries no index, so this cheap framing
-// pass is what lets rank blocks be located up front and decoded in
-// parallel. Only framing is validated (known kinds, intact varints, full
-// fixed-width values); range checks on the decoded values stay in decode.
-func skipEvents(data []byte, n uint64) (int, error) {
-	off := 0
-	skipVarint := func() bool {
-		// Signed and unsigned varints share the base-128 framing, so one
-		// skipper covers both.
-		_, sz := binary.Uvarint(data[off:])
-		if sz <= 0 {
-			return false
+// decodeEach decodes n events and hands each to fn in stream order,
+// decoding in runs into a stack batch. An error from fn is returned
+// unchanged and ends the stream; a decode failure is returned through
+// at, which receives the index of the failing event after every event
+// before it has reached fn.
+func (d *eventDecoder) decodeEach(n uint64, fn func(Event) error, at func(i uint64, err error) error) error {
+	var batch [eventBatchLen]Event
+	for i := uint64(0); i < n; {
+		k, err := d.decodeRun(batch[:min(n-i, eventBatchLen)])
+		for j := 0; j < k; j++ {
+			if err := fn(batch[j]); err != nil {
+				return err
+			}
 		}
-		off += sz
-		return true
+		i += uint64(k)
+		if err != nil {
+			return at(i, err)
+		}
 	}
+	return nil
+}
+
+// decodeAll decodes n events into a new slice. The upfront allocation is
+// capped, since a corrupt header can declare an absurd count while real
+// events still have to be present byte by byte; the slice grows as
+// append would. On failure the slice holds the events before the
+// failing one.
+func (d *eventDecoder) decodeAll(n uint64) ([]Event, error) {
+	evs := make([]Event, 0, min(n, 1<<16))
+	for uint64(len(evs)) < n {
+		if len(evs) == cap(evs) {
+			evs = slices.Grow(evs, 1)
+		}
+		run := evs[len(evs):min(uint64(cap(evs)), n)]
+		k, err := d.decodeRun(run)
+		evs = evs[:len(evs)+k]
+		if err != nil {
+			return evs, err
+		}
+	}
+	return evs, nil
+}
+
+// varintStops masks the terminator bytes (top bit clear) of the varints
+// in an 8-byte little-endian word, one bit per terminator.
+const varintStops = 0x8080808080808080
+
+// skip advances past n events, validating only their framing — known
+// kinds, intact varints, full fixed-width values; range checks on the
+// decoded values stay in decodeRun. The events are self-delimiting but
+// archives carry no index, so this cheap pass is what locates rank
+// blocks up front for parallel decode and per-rank streaming. Errors
+// name the event and its byte offset from where the skip started.
+func (d *eventDecoder) skip(n uint64) error {
+	start := d.offset()
+	buf, pos, end := d.buf, d.pos, d.end
 	for i := uint64(0); i < n; i++ {
-		if off >= len(data) {
-			return 0, formatf("event %d at byte %d: truncated", i, off)
+		if end-pos >= maxEventEncodedLen {
+			// One load covers the varints after the kind byte of any
+			// event whose varints fit in 8 bytes: the k-th terminator
+			// ends the k-th varint.
+			w := (*eventWindow)(buf[pos:])
+			stops := ^binary.LittleEndian.Uint64(w[1:]) & varintStops
+			switch EventKind(w[0]) {
+			case KindEnter, KindLeave: // time, region
+				if stops &= stops - 1; stops != 0 {
+					pos += 2 + bits.TrailingZeros64(stops)/8
+					continue
+				}
+			case KindMetric: // time, metric, 8-byte value
+				if stops &= stops - 1; stops != 0 {
+					pos += 2 + bits.TrailingZeros64(stops)/8 + 8
+					continue
+				}
+			case KindSend, KindRecv: // time, peer, tag, bytes
+				stops &= stops - 1
+				stops &= stops - 1
+				if stops &= stops - 1; stops != 0 {
+					pos += 2 + bits.TrailingZeros64(stops)/8
+					continue
+				}
+			}
 		}
-		kind := EventKind(data[off])
-		off++
-		if !skipVarint() { // delta timestamp
-			return 0, formatf("event %d at byte %d: truncated time", i, off)
+		d.pos = pos
+		if err := d.skipOne(i, start); err != nil {
+			return err
 		}
-		switch kind {
-		case KindEnter, KindLeave:
-			if !skipVarint() {
-				return 0, formatf("event %d at byte %d: truncated region", i, off)
-			}
-		case KindMetric:
-			if !skipVarint() {
-				return 0, formatf("event %d at byte %d: truncated metric", i, off)
-			}
-			if off+8 > len(data) {
-				return 0, formatf("event %d at byte %d: truncated value", i, off)
-			}
-			off += 8
-		case KindSend, KindRecv:
-			if !skipVarint() || !skipVarint() || !skipVarint() {
-				return 0, formatf("event %d at byte %d: truncated message", i, off)
-			}
-		default:
-			return 0, formatf("event %d at byte %d: unknown event kind %d", i, off-1, kind)
-		}
+		buf, pos, end = d.buf, d.pos, d.end
 	}
-	return off, nil
+	d.pos = pos
+	return nil
+}
+
+// skipOne is skip's out-of-line path: it skips the one event at d.pos
+// with every framing check, refilling the window first when the source
+// has more.
+func (d *eventDecoder) skipOne(i uint64, start int64) error {
+	if d.end-d.pos < maxEventEncodedLen && d.canRefill() {
+		d.refill()
+	}
+	if d.pos >= d.end {
+		return formatf("event %d at byte %d: truncated", i, d.offset()-start)
+	}
+	kind := EventKind(d.buf[d.pos])
+	if !knownKind(kind) {
+		return formatf("event %d at byte %d: unknown event kind %d", i, d.offset()-start, kind)
+	}
+	d.pos++
+	// Signed and unsigned varints share the base-128 framing, so one
+	// skipper covers both.
+	skipVarints := func(k int, what string) error {
+		for ; k > 0; k-- {
+			_, n := binary.Uvarint(d.buf[d.pos:d.end])
+			if n <= 0 {
+				return formatf("event %d at byte %d: truncated %s", i, d.offset()-start, what)
+			}
+			d.pos += n
+		}
+		return nil
+	}
+	if err := skipVarints(1, "time"); err != nil {
+		return err
+	}
+	switch kind {
+	case KindEnter, KindLeave:
+		return skipVarints(1, "region")
+	case KindMetric:
+		if err := skipVarints(1, "metric"); err != nil {
+			return err
+		}
+		if d.end-d.pos < 8 {
+			return formatf("event %d at byte %d: truncated value", i, d.offset()-start)
+		}
+		d.pos += 8
+		return nil
+	default: // KindSend, KindRecv
+		return skipVarints(3, "message")
+	}
 }

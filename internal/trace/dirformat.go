@@ -238,39 +238,45 @@ func readRankFile(path string, rank int, tr *Trace) ([]Event, error) {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, formatf("%s: magic: %v", path, err)
-	}
-	if string(magic[:]) != rankMagic {
-		return nil, formatf("%s: magic %q, want %q", path, magic[:], rankMagic)
-	}
-	fileRank, err := binary.ReadUvarint(br)
-	if err != nil || int(fileRank) != rank {
-		return nil, formatf("%s: rank %d, want %d (err=%v)", path, fileRank, rank, err)
-	}
-	var nev uint64
-	if err := binary.Read(br, binary.LittleEndian, &nev); err != nil {
-		return nil, formatf("%s: event count: %v", path, err)
-	}
-	if nev > maxEvents {
-		return nil, formatf("%s: event count %d exceeds limit", path, nev)
-	}
 	buf := windowPool.Get().(*[]byte)
 	defer windowPool.Put(buf)
-	dec := newStreamDecoder(br, *buf, uint64(len(tr.Regions)), uint64(len(tr.Metrics)), uint64(len(tr.Procs)))
-	// Cap the upfront allocation against absurd declared counts; append
-	// grows as real events actually decode.
-	evs := make([]Event, 0, min(nev, 1<<16))
-	for i := uint64(0); i < nev; i++ {
-		ev, err := dec.decode()
-		if err != nil {
-			return nil, formatf("%s: event %d: %v", path, i, err)
-		}
-		evs = append(evs, ev)
+	dec, nev, err := openRankFile(f, *buf, path, rank, uint64(len(tr.Regions)), uint64(len(tr.Metrics)), uint64(len(tr.Procs)))
+	if err != nil {
+		return nil, err
+	}
+	evs, err := dec.decodeAll(nev)
+	if err != nil {
+		return nil, formatf("%s: event %d: %v", path, len(evs), err)
 	}
 	return evs, nil
+}
+
+// openRankFile reads the preamble of rank's event file f (magic, rank,
+// event count) through a decoder over the window buf, and returns the
+// decoder positioned at the first event, validating ids against the
+// given definition counts.
+func openRankFile(f io.Reader, buf []byte, path string, rank int, nregions, nmetrics, nprocs uint64) (*eventDecoder, uint64, error) {
+	dec := newStreamDecoder(f, buf, nregions, nmetrics, nprocs)
+	var magic [4]byte
+	if _, err := io.ReadFull(dec, magic[:]); err != nil {
+		return nil, 0, formatf("%s: magic: %v", path, err)
+	}
+	if string(magic[:]) != rankMagic {
+		return nil, 0, formatf("%s: magic %q, want %q", path, magic[:], rankMagic)
+	}
+	fileRank, err := binary.ReadUvarint(dec)
+	if err != nil || int(fileRank) != rank {
+		return nil, 0, formatf("%s: rank %d, want %d (err=%v)", path, fileRank, rank, err)
+	}
+	var nev uint64
+	if err := binary.Read(dec, binary.LittleEndian, &nev); err != nil {
+		return nil, 0, formatf("%s: event count: %v", path, err)
+	}
+	if nev > maxEvents {
+		return nil, 0, formatf("%s: event count %d exceeds limit", path, nev)
+	}
+	dec.rebase() // error offsets count from the first event
+	return dec, nev, nil
 }
 
 // RankWriter incrementally writes one rank's event file — the

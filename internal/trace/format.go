@@ -311,35 +311,26 @@ func readArchive(r io.Reader) (*Trace, error) {
 		data []byte
 	}
 	blocks := make([]block, 0, int(nprocs))
-	off := 0
+	scan := newSliceDecoder(rest, 0, 0, 0)
 	var scanErr error
 	for rank := 0; rank < int(nprocs); rank++ {
-		nev, sz := binary.Uvarint(rest[off:])
-		if sz <= 0 || nev > maxEvents {
-			scanErr = formatf("rank %d event count: n=%d truncated=%v", rank, nev, sz <= 0)
+		nev, err := scan.blockCount()
+		if err != nil || nev > maxEvents {
+			scanErr = formatf("rank %d event count: n=%d truncated=%v", rank, nev, err != nil)
 			break
 		}
-		off += sz
-		blen, err := skipEvents(rest[off:], nev)
-		if err != nil {
+		start := scan.pos
+		if err := scan.skip(nev); err != nil {
 			scanErr = formatf("rank %d %v", rank, err)
 			break
 		}
-		blocks = append(blocks, block{nev: nev, data: rest[off : off+blen]})
-		off += blen
+		blocks = append(blocks, block{nev: nev, data: rest[start:scan.pos]})
 	}
 	decoded, err := parallel.Map(len(blocks), func(rank int) ([]Event, error) {
 		blk := blocks[rank]
-		// Cap the upfront allocation: a corrupt header can declare an
-		// absurd count, but real events still have to frame byte by byte.
-		evs := make([]Event, 0, min(blk.nev, 1<<16))
-		dec := newSliceDecoder(blk.data, nregions, nmetrics, nprocs)
-		for i := uint64(0); i < blk.nev; i++ {
-			ev, err := dec.decode()
-			if err != nil {
-				return nil, formatf("rank %d event %d: %v", rank, i, err)
-			}
-			evs = append(evs, ev)
+		evs, err := newSliceDecoder(blk.data, nregions, nmetrics, nprocs).decodeAll(blk.nev)
+		if err != nil {
+			return nil, formatf("rank %d event %d: %v", rank, len(evs), err)
 		}
 		return evs, nil
 	})
@@ -353,6 +344,7 @@ func readArchive(r io.Reader) (*Trace, error) {
 		tr.Procs[rank].Events = decoded[rank]
 	}
 
+	off := scan.pos
 	if len(rest)-off < 4 {
 		return nil, formatf("reading end marker: %v", io.ErrUnexpectedEOF)
 	}

@@ -110,14 +110,11 @@ func DecodeFrame(data []byte, maxPayload int64) (rank Rank, count uint64, payloa
 // smuggle undeclared data past the receiver.
 func DecodeFrameEvents(payload []byte, count uint64, nregions, nmetrics, nprocs int, fn func(Event) error) error {
 	dec := newSliceDecoder(payload, uint64(nregions), uint64(nmetrics), uint64(nprocs))
-	for i := uint64(0); i < count; i++ {
-		ev, err := dec.decode()
-		if err != nil {
-			return formatf("frame event %d: %v", i, err)
-		}
-		if err := fn(ev); err != nil {
-			return err
-		}
+	err := dec.decodeEach(count, fn, func(i uint64, err error) error {
+		return formatf("frame event %d: %v", i, err)
+	})
+	if err != nil {
+		return err
 	}
 	if dec.pos != dec.end {
 		return formatf("frame payload has %d trailing bytes after %d events", dec.end-dec.pos, count)

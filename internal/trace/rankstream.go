@@ -1,9 +1,6 @@
 package trace
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -19,15 +16,10 @@ import (
 // interface from OpenDirRankStreams, where the per-rank files provide the
 // framing for free. Memory is O(definitions + ranks), never O(events).
 
-// decodeBufPool recycles the bufio readers behind header parses and
-// framing scans, so repeated opens reuse a handful of buffers.
-var decodeBufPool = sync.Pool{
-	New: func() any { return bufio.NewReaderSize(nil, 1<<16) },
-}
-
-// windowPool recycles the event-decoder windows behind per-rank stream
-// decodes (newStreamDecoder), so an analysis over many ranks reuses a
-// few 64 KiB buffers instead of allocating one per StreamRank call.
+// windowPool recycles the event-decoder windows behind stream decodes
+// and framing scans (newStreamDecoder), so an analysis over many ranks
+// reuses a few 64 KiB buffers instead of allocating one per StreamRank
+// call.
 var windowPool = sync.Pool{
 	New: func() any { b := make([]byte, 1<<16); return &b },
 }
@@ -52,103 +44,20 @@ type RankStreams struct {
 	spans  []rankSpan
 }
 
-// countingReader tracks the absolute offset of a buffered sequential
-// reader, so the framing scan can record byte spans and truncation
-// errors can report where the archive broke off.
-type countingReader struct {
-	br *bufio.Reader
-	n  int64
-}
-
-func (c *countingReader) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
-	if err == nil {
-		c.n++
-	}
-	return b, err
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.br.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// skipEventsReader advances br past n encoded events, validating only the
-// framing — the streaming sibling of skipEvents.
-func skipEventsReader(br byteReader, n uint64) error {
-	var fixed [8]byte
-	for i := uint64(0); i < n; i++ {
-		kb, err := br.ReadByte()
-		if err != nil {
-			return formatf("event %d: truncated", i)
-		}
-		if _, err := binary.ReadUvarint(br); err != nil { // delta timestamp
-			return formatf("event %d: truncated time", i)
-		}
-		switch EventKind(kb) {
-		case KindEnter, KindLeave:
-			if _, err := binary.ReadUvarint(br); err != nil {
-				return formatf("event %d: truncated region", i)
-			}
-		case KindMetric:
-			if _, err := binary.ReadUvarint(br); err != nil {
-				return formatf("event %d: truncated metric", i)
-			}
-			if _, err := io.ReadFull(br, fixed[:]); err != nil {
-				return formatf("event %d: truncated value", i)
-			}
-		case KindSend, KindRecv:
-			if _, err := binary.ReadUvarint(br); err != nil {
-				return formatf("event %d: truncated message", i)
-			}
-			if _, err := binary.ReadVarint(br); err != nil {
-				return formatf("event %d: truncated message", i)
-			}
-			if _, err := binary.ReadUvarint(br); err != nil {
-				return formatf("event %d: truncated message", i)
-			}
-		default:
-			return formatf("event %d: unknown event kind %d", i, kb)
-		}
-	}
-	return nil
-}
-
 // OpenRankStreams scans the PVTR archive in src (size bytes long) and
 // returns per-rank stream handles. The scan parses the definitions and
 // walks the event framing once — no event is decoded or retained — and
 // verifies the end marker, so a structurally corrupt archive fails here,
 // locating the failure by rank and byte offset, rather than mid-analysis.
 func OpenRankStreams(src io.ReaderAt, size int64) (*RankStreams, error) {
-	br := decodeBufPool.Get().(*bufio.Reader)
-	br.Reset(io.NewSectionReader(src, 0, size))
-	defer decodeBufPool.Put(br)
-	cr := &countingReader{br: br}
-	h, err := readHeader(cr)
+	buf := windowPool.Get().(*[]byte)
+	defer windowPool.Put(buf)
+	rs, err := scanRankStreams(newStreamDecoder(io.NewSectionReader(src, 0, size), *buf, 0, 0, 0))
 	if err != nil {
 		return nil, err
 	}
-	spans := make([]rankSpan, len(h.Procs))
-	for rank := range spans {
-		nev, err := binary.ReadUvarint(cr)
-		if err != nil || nev > maxEvents {
-			return nil, formatf("rank %d event count at byte %d: n=%d err=%v", rank, cr.n, nev, err)
-		}
-		start := cr.n
-		if err := skipEventsReader(cr, nev); err != nil {
-			return nil, formatf("rank %d at archive byte %d: %v", rank, cr.n, err)
-		}
-		spans[rank] = rankSpan{nev: nev, off: start, len: cr.n - start}
-	}
-	var marker [4]byte
-	if _, err := io.ReadFull(cr, marker[:]); err != nil {
-		return nil, formatf("reading end marker at byte %d: %v", cr.n, err)
-	}
-	if string(marker[:]) != formatEnd {
-		return nil, formatf("end marker %q, want %q", marker[:], formatEnd)
-	}
-	return &RankStreams{header: h, src: src, spans: spans}, nil
+	rs.src = src
+	return rs, nil
 }
 
 // OpenRankStreamsBytes is OpenRankStreams for an archive already in
@@ -156,33 +65,45 @@ func OpenRankStreams(src io.ReaderAt, size int64) (*RankStreams, error) {
 // StreamRank later decodes each rank's block zero-copy — the fast path
 // behind uploaded-archive analysis.
 func OpenRankStreamsBytes(data []byte) (*RankStreams, error) {
-	r := bytes.NewReader(data)
-	h, err := readHeader(r)
+	rs, err := scanRankStreams(newSliceDecoder(data, 0, 0, 0))
 	if err != nil {
 		return nil, err
 	}
-	off := int64(len(data)) - int64(r.Len())
+	rs.data = data
+	return rs, nil
+}
+
+// scanRankStreams is the framing scan behind both Open paths: it reads
+// the definitions, then each rank's event count and block framing, then
+// the end marker, all through dec, which reports absolute archive
+// offsets — so both paths locate a failure in the same words.
+func scanRankStreams(dec *eventDecoder) (*RankStreams, error) {
+	h, err := readHeader(dec)
+	if err != nil {
+		return nil, err
+	}
 	spans := make([]rankSpan, len(h.Procs))
 	for rank := range spans {
-		nev, sz := binary.Uvarint(data[off:])
-		if sz <= 0 || nev > maxEvents {
-			return nil, formatf("rank %d event count at byte %d: n=%d truncated=%v", rank, off, nev, sz <= 0)
+		at := dec.offset()
+		nev, err := dec.blockCount()
+		if err != nil || nev > maxEvents {
+			return nil, formatf("rank %d event count at byte %d: n=%d err=%v", rank, at, nev, err)
 		}
-		off += int64(sz)
-		blen, err := skipEvents(data[off:], nev)
-		if err != nil {
-			return nil, formatf("rank %d at archive byte %d: %v", rank, off, err)
+		start := dec.offset()
+		if err := dec.skip(nev); err != nil {
+			return nil, formatf("rank %d at archive byte %d: %v", rank, start, err)
 		}
-		spans[rank] = rankSpan{nev: nev, off: off, len: int64(blen)}
-		off += int64(blen)
+		spans[rank] = rankSpan{nev: nev, off: start, len: dec.offset() - start}
 	}
-	if int64(len(data))-off < 4 {
-		return nil, formatf("reading end marker at byte %d: %v", off, io.ErrUnexpectedEOF)
+	at := dec.offset()
+	marker := dec.tail(4)
+	if len(marker) < 4 {
+		return nil, formatf("reading end marker at byte %d: %v", at, io.ErrUnexpectedEOF)
 	}
-	if got := string(data[off : off+4]); got != formatEnd {
-		return nil, formatf("end marker %q, want %q", got, formatEnd)
+	if string(marker) != formatEnd {
+		return nil, formatf("end marker %q, want %q", marker, formatEnd)
 	}
-	return &RankStreams{header: h, data: data, spans: spans}, nil
+	return &RankStreams{header: h, spans: spans}, nil
 }
 
 // Header returns the archive's definitions.
@@ -211,19 +132,13 @@ func (rs *RankStreams) StreamRank(rank int, fn func(Event) error) error {
 		defer windowPool.Put(buf)
 		dec = newStreamDecoder(io.NewSectionReader(rs.src, sp.off, sp.len), *buf, nregions, nmetrics, nprocs)
 	}
-	for i := uint64(0); i < sp.nev; i++ {
-		ev, err := dec.decode()
-		if err != nil {
-			return formatf("rank %d event %d (archive byte %d): %v", rank, i, sp.off+dec.offset(), err)
-		}
-		if err := fn(ev); err != nil {
-			if errors.Is(err, ErrStopStream) {
-				return nil
-			}
-			return err
-		}
+	err := dec.decodeEach(sp.nev, fn, func(i uint64, err error) error {
+		return formatf("rank %d event %d (archive byte %d): %v", rank, i, sp.off+dec.offset(), err)
+	})
+	if errors.Is(err, ErrStopStream) {
+		return nil
 	}
-	return nil
+	return err
 }
 
 // DirStreams provides per-rank event streams over a directory archive.
@@ -271,41 +186,18 @@ func (ds *DirStreams) StreamRank(rank int, fn func(Event) error) error {
 		return err
 	}
 	defer f.Close()
-	br := decodeBufPool.Get().(*bufio.Reader)
-	br.Reset(f)
-	defer decodeBufPool.Put(br)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return formatf("%s: magic: %v", path, err)
-	}
-	if string(magic[:]) != rankMagic {
-		return formatf("%s: magic %q, want %q", path, magic[:], rankMagic)
-	}
-	fileRank, err := binary.ReadUvarint(br)
-	if err != nil || int(fileRank) != rank {
-		return formatf("%s: rank %d, want %d (err=%v)", path, fileRank, rank, err)
-	}
-	var nev uint64
-	if err := binary.Read(br, binary.LittleEndian, &nev); err != nil {
-		return formatf("%s: event count: %v", path, err)
-	}
-	if nev > maxEvents {
-		return formatf("%s: event count %d exceeds limit", path, nev)
-	}
 	buf := windowPool.Get().(*[]byte)
 	defer windowPool.Put(buf)
-	dec := newStreamDecoder(br, *buf, uint64(len(ds.header.Regions)), uint64(len(ds.header.Metrics)), uint64(len(ds.header.Procs)))
-	for i := uint64(0); i < nev; i++ {
-		ev, err := dec.decode()
-		if err != nil {
-			return formatf("%s: rank %d event %d: %v", path, rank, i, err)
-		}
-		if err := fn(ev); err != nil {
-			if errors.Is(err, ErrStopStream) {
-				return nil
-			}
-			return err
-		}
+	h := ds.header
+	dec, nev, err := openRankFile(f, *buf, path, rank, uint64(len(h.Regions)), uint64(len(h.Metrics)), uint64(len(h.Procs)))
+	if err != nil {
+		return err
 	}
-	return nil
+	err = dec.decodeEach(nev, fn, func(i uint64, err error) error {
+		return formatf("%s: rank %d event %d: %v", path, rank, i, err)
+	})
+	if errors.Is(err, ErrStopStream) {
+		return nil
+	}
+	return err
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -19,36 +20,59 @@ func TestOpenRankStreamsTruncatedLocatesFailure(t *testing.T) {
 	good := buf.Bytes()
 
 	// Cut inside the last rank's event block (the end marker is 4 bytes,
-	// so -6 lands mid-event or mid-count of the final rank).
+	// so -6 lands mid-event or mid-count of the final rank), and corrupt
+	// the kind byte of rank 1's first event: the framing kernel locates
+	// it at the kind byte itself, before any varint after it.
 	cut := good[:len(good)-6]
-	for _, open := range []struct {
-		name string
-		fn   func([]byte) (*RankStreams, error)
-	}{
-		{"reader", func(b []byte) (*RankStreams, error) {
-			return OpenRankStreams(bytes.NewReader(b), int64(len(b)))
-		}},
-		{"bytes", OpenRankStreamsBytes},
-	} {
-		_, err := open.fn(cut)
-		if err == nil {
-			t.Fatalf("%s: truncated archive accepted", open.name)
+	rs, err := OpenRankStreamsBytes(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badKind := append([]byte(nil), good...)
+	badKind[rs.spans[1].off] = 0xEE
+	wantKind := fmt.Sprintf("rank 1 at archive byte %d: %v: event 0 at byte 0: unknown event kind 238", rs.spans[1].off, ErrFormat)
+	for _, c := range []struct {
+		name, want string
+		data       []byte
+	}{{"truncated", "", cut}, {"bad kind", wantKind, badKind}} {
+		var msgs []string
+		for _, open := range []struct {
+			name string
+			fn   func([]byte) (*RankStreams, error)
+		}{
+			{"reader", func(b []byte) (*RankStreams, error) {
+				return OpenRankStreams(bytes.NewReader(b), int64(len(b)))
+			}},
+			{"bytes", OpenRankStreamsBytes},
+		} {
+			_, err := open.fn(c.data)
+			if err == nil {
+				t.Fatalf("%s %s: corrupt archive accepted", c.name, open.name)
+			}
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("%s %s: err = %v, want ErrFormat", c.name, open.name, err)
+			}
+			msg := err.Error()
+			if !strings.Contains(msg, "rank 1") {
+				t.Fatalf("%s %s: error does not name the failing rank: %v", c.name, open.name, err)
+			}
+			if !strings.Contains(msg, "byte") {
+				t.Fatalf("%s %s: error does not locate the byte offset: %v", c.name, open.name, err)
+			}
+			if c.want != "" && !strings.HasSuffix(msg, c.want) {
+				t.Fatalf("%s %s: err = %v, want suffix %q", c.name, open.name, err, c.want)
+			}
+			msgs = append(msgs, msg)
 		}
-		if !errors.Is(err, ErrFormat) {
-			t.Fatalf("%s: err = %v, want ErrFormat", open.name, err)
-		}
-		msg := err.Error()
-		if !strings.Contains(msg, "rank 1") {
-			t.Fatalf("%s: error does not name the failing rank: %v", open.name, err)
-		}
-		if !strings.Contains(msg, "byte") {
-			t.Fatalf("%s: error does not locate the byte offset: %v", open.name, err)
+		// One framing kernel behind both paths: one message.
+		if msgs[0] != msgs[1] {
+			t.Fatalf("%s: reader and bytes paths disagree:\n reader: %s\n bytes:  %s", c.name, msgs[0], msgs[1])
 		}
 	}
 
 	// Cut inside the first rank's event count: rank 0 must be named.
 	hdrLen := headerLen(t, good)
-	_, err := OpenRankStreamsBytes(good[:hdrLen])
+	_, err = OpenRankStreamsBytes(good[:hdrLen])
 	if err == nil || !strings.Contains(err.Error(), "rank 0") {
 		t.Fatalf("header-only archive: err = %v, want rank 0 failure", err)
 	}

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -130,37 +129,36 @@ func readHeader(br byteReader) (*Header, error) {
 // per event. Memory use is O(definitions), independent of trace length —
 // the reader for traces that do not fit in RAM.
 func Stream(r io.Reader, fn StreamFunc) (*Header, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	h, err := readHeader(br)
+	// One windowed decoder spans the whole archive: the definitions and
+	// the inter-block event counts are parsed through the same window
+	// as the events.
+	buf := windowPool.Get().(*[]byte)
+	defer windowPool.Put(buf)
+	dec := newStreamDecoder(r, *buf, 0, 0, 0)
+	h, err := readHeader(dec)
 	if err != nil {
 		return nil, err
 	}
-	nregions := uint64(len(h.Regions))
-	nmetrics := uint64(len(h.Metrics))
-	nprocs := uint64(len(h.Procs))
-
-	// One windowed decoder spans all rank blocks: the inter-block event
-	// counts are parsed through the same window (blockCount), so the
-	// whole event section decodes without per-byte reader dispatch.
-	buf := windowPool.Get().(*[]byte)
-	defer windowPool.Put(buf)
-	dec := newStreamDecoder(br, *buf, nregions, nmetrics, nprocs)
-	for rank := uint64(0); rank < nprocs; rank++ {
+	dec.nregions, dec.nmetrics, dec.nprocs = uint64(len(h.Regions)), uint64(len(h.Metrics)), uint64(len(h.Procs))
+	dec.rebase() // error offsets count from the first event count
+	for rank := uint64(0); rank < uint64(len(h.Procs)); rank++ {
 		nev, err := dec.blockCount()
 		if err != nil || nev > maxEvents {
 			return nil, formatf("rank %d event count: n=%d err=%v", rank, nev, err)
 		}
-		for i := uint64(0); i < nev; i++ {
-			ev, err := dec.decode()
-			if err != nil {
-				return nil, formatf("rank %d event %d: %v", rank, i, err)
-			}
-			if err := fn(Rank(rank), ev); err != nil {
-				if errors.Is(err, ErrStopStream) {
-					return h, nil
-				}
-				return h, err
-			}
+		var decodeErr error
+		err = dec.decodeEach(nev, func(ev Event) error { return fn(Rank(rank), ev) }, func(i uint64, err error) error {
+			decodeErr = formatf("rank %d event %d: %v", rank, i, err)
+			return decodeErr
+		})
+		if decodeErr != nil {
+			return nil, decodeErr
+		}
+		if errors.Is(err, ErrStopStream) {
+			return h, nil
+		}
+		if err != nil {
+			return h, err
 		}
 	}
 	marker := dec.tail(4)

@@ -159,14 +159,22 @@ func TestStreamingSyntheticBoundedHeap(t *testing.T) {
 	}
 }
 
-// BenchmarkAnalyzeSynthetic measures the engine's event throughput with
-// decode taken out of the picture: the synthetic generator hands events
-// straight to the single pass, so ns/op here is the analysis floor.
-func BenchmarkAnalyzeSynthetic(b *testing.B) {
+// benchSynthConfig is the synthetic run BenchmarkAnalyzeSynthetic
+// analyzes and BenchmarkStreamDecode/synth decodes, so their ns/event
+// compare like for like.
+func benchSynthConfig() workloads.SyntheticConfig {
 	cfg := workloads.DefaultSynthetic()
 	cfg.Ranks = 8
 	cfg.Iterations = 100
 	cfg.KernelCalls = 100
+	return cfg
+}
+
+// BenchmarkAnalyzeSynthetic measures the engine's event throughput with
+// decode taken out of the picture: the synthetic generator hands events
+// straight to the single pass, so ns/op here is the analysis floor.
+func BenchmarkAnalyzeSynthetic(b *testing.B) {
+	cfg := benchSynthConfig()
 	src := SyntheticSource(cfg.Header(), cfg.StreamRank)
 	b.ReportAllocs()
 	b.SetBytes(int64(cfg.NumEvents()) * int64(reflect.TypeOf(trace.Event{}).Size()))
@@ -175,4 +183,5 @@ func BenchmarkAnalyzeSynthetic(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cfg.NumEvents()), "ns/event")
 }
