@@ -394,9 +394,10 @@ func BenchmarkHeatmapRender(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := RenderOptions{Width: 1000, Height: 500, Labels: true}
+	first, last := tr.Span()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = vis.SOSHeatmap(tr, m, opts)
+		_ = vis.SOSHeatmapSpan(first, last, m, opts)
 	}
 }
 

@@ -47,17 +47,17 @@ func main() {
 		fatal(fmt.Errorf("-budget %g: want a non-negative finite percentage", *budget))
 	}
 
-	resA := analyze(*pathA, *dominant)
-	resB := analyze(*pathB, *dominant)
+	trA, resA := analyze(*pathA, *dominant)
+	trB, resB := analyze(*pathB, *dominant)
 
 	if *asJSON || *budget > 0 {
-		emitJSON(resA, resB, *budget)
+		emitJSON(summarize(trA, resA), summarize(trB, resB), *budget)
 		return
 	}
 	fmt.Printf("A: %s  (%d ranks, dominant %q, %d iterations)\n",
-		*pathA, resA.Trace.NumRanks(), resA.Matrix.RegionName, resA.Matrix.Iterations())
+		*pathA, trA.NumRanks(), resA.Matrix.RegionName, resA.Matrix.Iterations())
 	fmt.Printf("B: %s  (%d ranks, dominant %q, %d iterations)\n\n",
-		*pathB, resB.Trace.NumRanks(), resB.Matrix.RegionName, resB.Matrix.Iterations())
+		*pathB, trB.NumRanks(), resB.Matrix.RegionName, resB.Matrix.Iterations())
 
 	c := perfvar.CompareRuns(resA, resB)
 	fmt.Printf("aligned iterations: %d (alignment cost %.2f)\n", c.Matched, c.AlignmentCost)
@@ -111,8 +111,7 @@ func main() {
 // emitJSON prints the RunDelta document (A as baseline, B as candidate).
 // With a positive budget it carries a verdict and a failing delta exits 1,
 // so a CI step can gate on the exit status alone.
-func emitJSON(resA, resB *perfvar.Result, budget float64) {
-	base, run := summarize(resA), summarize(resB)
+func emitJSON(base, run compare.RunSummary, budget float64) {
 	delta := compare.Delta(base, run)
 	doc := map[string]any{
 		"baseline": base,
@@ -138,17 +137,19 @@ func emitJSON(resA, resB *perfvar.Result, budget float64) {
 	}
 }
 
-// summarize digests one analyzed run for the delta computation, the same
-// way perfvard's run-history endpoints do.
-func summarize(res *perfvar.Result) compare.RunSummary {
-	profiles, err := baseline.RankProfiles(res.Trace)
+// summarize digests one analyzed run of tr for the delta computation,
+// the same way perfvard's run-history endpoints do.
+func summarize(tr *perfvar.Trace, res *perfvar.Result) compare.RunSummary {
+	profiles, err := baseline.RankProfiles(tr)
 	if err != nil {
 		fatal(err)
 	}
-	return compare.Summarize(res.Matrix, baseline.MPIFraction(res.Trace, profiles))
+	return compare.Summarize(res.Matrix, baseline.MPIFraction(tr, profiles))
 }
 
-func analyze(path, dominant string) *perfvar.Result {
+// analyze loads and analyzes the trace at path; the trace is kept for
+// the profile summary.
+func analyze(path, dominant string) (*perfvar.Trace, *perfvar.Result) {
 	tr, err := perfvar.LoadTrace(path)
 	if err != nil {
 		fatal(err)
@@ -157,7 +158,7 @@ func analyze(path, dominant string) *perfvar.Result {
 	if err != nil {
 		fatal(err)
 	}
-	return res
+	return tr, res
 }
 
 func fatal(err error) {

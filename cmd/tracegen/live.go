@@ -41,12 +41,8 @@ func buildLiveRun(workload string, ranks, grid, steps, kernel int, seed int64) (
 	if err != nil {
 		return nil, err
 	}
-	h := &trace.Header{Name: tr.Name, Regions: tr.Regions, Metrics: tr.Metrics}
-	for i := range tr.Procs {
-		h.Procs = append(h.Procs, tr.Procs[i].Proc)
-	}
 	return &liveRun{
-		header: h,
+		header: tr.Header(),
 		ranks:  len(tr.Procs),
 		stream: func(rank int, emit func(trace.Event) error) error {
 			for _, ev := range tr.Procs[rank].Events {

@@ -42,7 +42,7 @@ func main() {
 		breakdown = flag.Bool("breakdown", false, "print the per-region breakdown of the top hotspot")
 		calltree  = flag.Bool("calltree", false, "print the calling-context tree (depth 3)")
 		clocks    = flag.Bool("clockfix", false, "detect and correct clock skew before analyzing")
-		stream    = flag.Bool("stream", false, "analyze with the streaming engine (memory bounded by segments, not events)")
+		stream    = flag.Bool("stream", false, "stream the archive without loading and validating it (memory bounded by segments, not events)")
 		jobs      = flag.Int("j", 0, "worker goroutines for per-rank stages (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
@@ -69,15 +69,11 @@ func main() {
 	}
 
 	var tr *perfvar.Trace
-	var res *perfvar.Result
-	var err error
-	if *stream {
-		res, err = perfvar.AnalyzeSource(context.Background(), perfvar.FileSource(*tracePath), opts)
-		if err != nil {
-			fatal(err)
-		}
-		tr = res.Trace // non-nil only when the archive had to be materialized (pvtt)
-	} else {
+	src := perfvar.FileSource(*tracePath)
+	if !*stream {
+		// LoadTrace validates metric order, byte counts and timestamp
+		// order; -stream analyzes the archive without that check.
+		var err error
 		tr, err = perfvar.LoadTrace(*tracePath)
 		if err != nil {
 			fatal(err)
@@ -91,10 +87,11 @@ func main() {
 				info.ViolationsBefore, info.ViolationsAfter)
 			tr = fixed
 		}
-		res, err = perfvar.Analyze(tr, opts)
-		if err != nil {
-			fatal(err)
-		}
+		src = perfvar.TraceSource(tr)
+	}
+	res, err := perfvar.AnalyzeSource(context.Background(), src, opts)
+	if err != nil {
+		fatal(err)
 	}
 	if *refine {
 		if res, err = res.Refine(opts); err != nil {

@@ -14,12 +14,15 @@ import (
 	"perfvar/internal/trace"
 )
 
-// Engine values reported by Result.Engine.
+// Engine values reported by Result.Engine (see EngineOf). Both tags name
+// the same single-pass engine; they tell whether the source had to be
+// materialized in memory to be streamed.
 const (
-	// EngineStream marks a result computed by the single-pass streaming
-	// engine: no materialized trace backs it (Result.Trace is nil).
+	// EngineStream marks a result whose source streamed without
+	// materializing a trace.
 	EngineStream = "stream"
-	// EngineMaterialized marks a result computed over an in-memory trace.
+	// EngineMaterialized marks a result whose source streamed from an
+	// in-memory trace (TraceSource, WorkloadSource, pvtt archives).
 	EngineMaterialized = "materialized"
 )
 
@@ -44,12 +47,12 @@ const (
 // Options.CandidateSegmentBudget, or when a fused lint run
 // (Options.Lint) segments at a different region than the engine under a
 // custom Options.SyncPrefixes classifier. Either way — one pass or two —
-// selection, segmentation, statistics, and the report are byte-identical
-// to the materialized path's.
+// selection, segmentation, statistics, and the report are byte-identical.
 //
-// Result.Engine reports which path ran. For streaming sources
-// Result.Trace is nil: Causality and Breakdown stream src again, and
-// SlowestIterationsTrace returns nil.
+// The result keeps src and the trace metadata tallied during the pass
+// (name, ranks, events, span), whatever kind of source src is: Report
+// and Heatmap answer from the metadata, while Causality, Breakdown,
+// Refine and SlowestIterationsTrace stream src again.
 func AnalyzeSource(ctx context.Context, src Source, opts Options) (*Result, error) {
 	st, err := src.Open(ctx)
 	if err != nil {
@@ -316,19 +319,14 @@ func AnalyzeSource(ctx context.Context, src Source, opts Options) (*Result, erro
 		}
 	}
 
-	res := &Result{
-		Trace:       st.Trace(),
+	return &Result{
 		Lint:        lres,
 		Selection:   sel,
 		Matrix:      m,
 		Analysis:    a,
 		MPIFraction: frac,
-		Engine:      EngineStream,
+		Engine:      EngineOf(st),
 		source:      src,
 		info:        resultInfo{name: h.Name, ranks: nranks, events: events, first: first, last: last},
-	}
-	if res.Trace != nil {
-		res.Engine = EngineMaterialized
-	}
-	return res, nil
+	}, nil
 }

@@ -55,7 +55,7 @@ func Run(tr *trace.Trace, opts Options) *Result {
 // a cancelled run returns nil with ctx.Err() — partial diagnostics are
 // discarded rather than passed off as a full lint.
 func RunContext(ctx context.Context, tr *trace.Trace, opts Options) (*Result, error) {
-	src := memStreams{tr: tr, header: &trace.Header{Name: tr.Name, Regions: tr.Regions, Metrics: tr.Metrics}}
+	src := memStreams{tr: tr, header: tr.Header()}
 	return runStreams(ctx, src, opts)
 }
 

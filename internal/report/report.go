@@ -12,7 +12,6 @@ import (
 
 	"perfvar/internal/core/dominant"
 	"perfvar/internal/core/imbalance"
-	"perfvar/internal/trace"
 	"perfvar/internal/vis"
 )
 
@@ -25,18 +24,6 @@ type Report struct {
 	Analysis  *imbalance.Analysis
 	// MPIFraction is the binned MPI-time share over the run (optional).
 	MPIFraction []float64
-}
-
-// New assembles a report.
-func New(tr *trace.Trace, sel dominant.Selection, a *imbalance.Analysis, mpiFraction []float64) *Report {
-	return &Report{
-		TraceName:   tr.Name,
-		Ranks:       tr.NumRanks(),
-		Events:      tr.NumEvents(),
-		Selection:   sel,
-		Analysis:    a,
-		MPIFraction: mpiFraction,
-	}
 }
 
 // WriteText renders the human-readable report to w.

@@ -28,7 +28,7 @@ func fig3Report(t *testing.T) *Report {
 		t.Fatal(err)
 	}
 	a := imbalance.Analyze(m, imbalance.Options{ZThreshold: 1.0, MinRelDeviation: -1})
-	return New(tr, sel, a, imbalance.MPIFractionTimeline(tr, 5))
+	return traceReport(tr, sel, a, imbalance.MPIFractionTimeline(tr, 5))
 }
 
 func TestWriteText(t *testing.T) {
@@ -64,7 +64,7 @@ func TestWriteTextBalancedRun(t *testing.T) {
 	// Absurd threshold: no hotspots.
 	a := imbalance.Analyze(m, imbalance.Options{ZThreshold: 1e12})
 	var buf bytes.Buffer
-	if err := New(tr, sel, a, nil).WriteText(&buf); err != nil {
+	if err := traceReport(tr, sel, a, nil).WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "No hotspots") {
@@ -167,7 +167,7 @@ func TestWriteMarkdownBalanced(t *testing.T) {
 	}
 	a := imbalance.Analyze(m, imbalance.Options{ZThreshold: 1e12})
 	var buf bytes.Buffer
-	if err := New(tr, sel, a, nil).WriteMarkdown(&buf); err != nil {
+	if err := traceReport(tr, sel, a, nil).WriteMarkdown(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "No hotspots") {
@@ -228,5 +228,18 @@ func mustRegionID(t *testing.T, tr *trace.Trace, name string) trace.RegionID {
 }
 
 func visHeatmap(tr *trace.Trace, m *segment.Matrix) *vis.Image {
-	return vis.SOSHeatmap(tr, m, vis.RenderOptions{Width: 120, Height: 60})
+	first, last := tr.Span()
+	return vis.SOSHeatmapSpan(first, last, m, vis.RenderOptions{Width: 120, Height: 60})
+}
+
+// traceReport assembles the report of an analysis of tr.
+func traceReport(tr *trace.Trace, sel dominant.Selection, a *imbalance.Analysis, mpiFraction []float64) *Report {
+	return &Report{
+		TraceName:   tr.Name,
+		Ranks:       tr.NumRanks(),
+		Events:      tr.NumEvents(),
+		Selection:   sel,
+		Analysis:    a,
+		MPIFraction: mpiFraction,
+	}
 }

@@ -849,15 +849,11 @@ func (s *Server) serveLint(ctx context.Context, w http.ResponseWriter, r *http.R
 			return nil, err
 		}
 		defer st.Close()
-		engine := perfvar.EngineStream
-		if st.Trace() != nil {
-			engine = perfvar.EngineMaterialized
-		}
 		res, err := lint.RunSource(cctx, st, lint.Options{})
 		if err != nil {
 			return nil, err
 		}
-		return lintResult{res: res, engine: engine}, nil
+		return lintResult{res: res, engine: perfvar.EngineOf(st)}, nil
 	})
 	if err != nil {
 		s.httpError(w, r, err)

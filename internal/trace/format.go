@@ -85,13 +85,11 @@ func formatf(format string, args ...any) error {
 
 // Write encodes tr to w in the PVTR binary format.
 func Write(w io.Writer, tr *Trace) error {
-	h := &Header{Name: tr.Name, Regions: tr.Regions, Metrics: tr.Metrics}
 	counts := make([]uint64, len(tr.Procs))
 	for i := range tr.Procs {
-		h.Procs = append(h.Procs, tr.Procs[i].Proc)
 		counts[i] = uint64(len(tr.Procs[i].Events))
 	}
-	return WriteFrom(w, h, counts, func(rank int, emit func(Event) error) error {
+	return WriteFrom(w, tr.Header(), counts, func(rank int, emit func(Event) error) error {
 		for _, ev := range tr.Procs[rank].Events {
 			if err := emit(ev); err != nil {
 				return err

@@ -55,6 +55,16 @@ func (tr *Trace) NumEvents() int {
 	return n
 }
 
+// Header returns tr's definitions and process metadata, sharing tr's
+// slices.
+func (tr *Trace) Header() *Header {
+	h := &Header{Name: tr.Name, Regions: tr.Regions, Metrics: tr.Metrics, Procs: make([]Process, len(tr.Procs))}
+	for i := range tr.Procs {
+		h.Procs[i] = tr.Procs[i].Proc
+	}
+	return h
+}
+
 // Span returns the earliest and latest event timestamps across all streams.
 // An empty trace reports (0, 0).
 func (tr *Trace) Span() (first, last Time) {

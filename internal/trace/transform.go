@@ -1,6 +1,9 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements trace reduction: extracting time windows and rank
 // subsets. The paper's second case study relies on exactly this workflow —
@@ -29,85 +32,101 @@ func (tr *Trace) Transform(fn func(rank Rank, events []Event) []Event) *Trace {
 // synthesized at from (outermost first) and leaves at to (innermost
 // first), so the result is balanced and analyzable like a regular trace.
 // Metric samples outside the window are dropped except for one synthetic
-// sample at from per metric, carrying the last value seen before the
-// window (so accumulated-counter deltas stay correct).
+// sample at from per metric, in MetricID order, carrying the last value
+// seen before the window (so accumulated-counter deltas stay correct).
 func (tr *Trace) Window(from, to Time) *Trace {
-	out := New(tr.Name, tr.NumRanks())
-	out.Regions = append([]Region(nil), tr.Regions...)
-	out.Metrics = append([]Metric(nil), tr.Metrics...)
-	if to < from {
-		from, to = to, from
-	}
-	for rank := range tr.Procs {
-		out.Procs[rank].Proc = tr.Procs[rank].Proc
-		out.Procs[rank].Events = windowRank(tr.Procs[rank].Events, from, to)
-	}
+	out, _ := WindowStreams(tr.Header(), from, to, tr.StreamRank) // the window kernel never fails
 	return out
 }
 
-func windowRank(events []Event, from, to Time) []Event {
-	var (
-		out      []Event
-		stack    []RegionID
-		lastVal  = map[MetricID]float64{}
-		seenVal  = map[MetricID]bool{}
-		started  bool
-		emitOpen = func() {
-			// Synthesize enters for regions already open at the window
-			// start, plus carry-in metric samples.
-			for _, r := range stack {
-				out = append(out, Enter(from, r))
-			}
-			for id, v := range lastVal {
-				out = append(out, Sample(from, id, v))
-			}
-			started = true
-		}
-	)
-	for _, ev := range events {
-		if ev.Time > to {
-			break
-		}
-		if ev.Time < from {
-			switch ev.Kind {
-			case KindEnter:
-				stack = append(stack, ev.Region)
-			case KindLeave:
-				if len(stack) > 0 {
-					stack = stack[:len(stack)-1]
-				}
-			case KindMetric:
-				lastVal[ev.Metric] = ev.Value
-			}
-			continue
-		}
-		if !started {
-			emitOpen()
-		}
-		switch ev.Kind {
-		case KindEnter:
-			stack = append(stack, ev.Region)
-		case KindLeave:
-			if len(stack) > 0 {
-				stack = stack[:len(stack)-1]
-			}
-		case KindMetric:
-			seenVal[ev.Metric] = true
-		}
-		out = append(out, ev)
+// WindowStreams is Window over per-rank event streams: h declares the
+// definitions and stream feeds rank's events to fn in stream order,
+// ending the stream without error when fn returns ErrStopStream (the
+// shape of Trace.StreamRank). Each rank is read only up to its first
+// event past to.
+func WindowStreams(h *Header, from, to Time, stream func(rank int, fn func(Event) error) error) (*Trace, error) {
+	if to < from {
+		from, to = to, from
 	}
-	if !started && len(stack)+len(lastVal) > 0 {
-		// Nothing inside the window, but regions span across it.
-		emitOpen()
+	out := New(h.Name, len(h.Procs))
+	out.Regions = append([]Region(nil), h.Regions...)
+	out.Metrics = append([]Metric(nil), h.Metrics...)
+	for rank := range h.Procs {
+		out.Procs[rank].Proc = h.Procs[rank]
+		w := rankWindow{from: from, to: to, lastVal: map[MetricID]float64{}}
+		if err := stream(rank, w.feed); err != nil {
+			return nil, err
+		}
+		out.Procs[rank].Events = w.finish()
 	}
-	// Close regions still open at the window end, innermost first.
-	for i := len(stack) - 1; i >= 0; i-- {
-		out = append(out, Leave(to, stack[i]))
+	return out, nil
+}
+
+// rankWindow is the window kernel: fed one rank's events in stream
+// order, it keeps those in [from, to] and tracks the open regions and
+// last metric values before from, for the clip events.
+type rankWindow struct {
+	from, to Time
+	out      []Event
+	stack    []RegionID
+	lastVal  map[MetricID]float64
+	started  bool
+}
+
+func (w *rankWindow) feed(ev Event) error {
+	if ev.Time > w.to {
+		return ErrStopStream
 	}
-	// The synthetic carry-in samples must sort before real events at the
-	// same timestamp with smaller times already ensured (from ≤ all).
-	_ = seenVal
-	return out
+	if ev.Time < w.from {
+		if ev.Kind == KindMetric {
+			w.lastVal[ev.Metric] = ev.Value
+		}
+	} else {
+		if !w.started {
+			w.open()
+		}
+		w.out = append(w.out, ev)
+	}
+	switch ev.Kind {
+	case KindEnter:
+		w.stack = append(w.stack, ev.Region)
+	case KindLeave:
+		if len(w.stack) > 0 {
+			w.stack = w.stack[:len(w.stack)-1]
+		}
+	}
+	return nil
+}
+
+// open synthesizes enters at from for the regions already open, plus the
+// carry-in metric samples in MetricID order, so repeated windows encode
+// to the same bytes.
+func (w *rankWindow) open() {
+	for _, r := range w.stack {
+		w.out = append(w.out, Enter(w.from, r))
+	}
+	ids := make([]MetricID, 0, len(w.lastVal))
+	for id := range w.lastVal {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		w.out = append(w.out, Sample(w.from, id, w.lastVal[id]))
+	}
+	w.started = true
+}
+
+// finish closes the regions still open at to, innermost first, and
+// returns the rank's windowed events.
+func (w *rankWindow) finish() []Event {
+	if !w.started && len(w.stack)+len(w.lastVal) > 0 {
+		// Nothing inside the window, but regions or samples span it.
+		w.open()
+	}
+	for i := len(w.stack) - 1; i >= 0; i-- {
+		w.out = append(w.out, Leave(w.to, w.stack[i]))
+	}
+	return w.out
 }
 
 // FilterRanks returns a new trace containing only the given ranks, in the
@@ -208,33 +227,4 @@ func Concat(a, b *Trace, gap Duration) (*Trace, error) {
 		}
 	}
 	return out, nil
-}
-
-// SlowestIterationsWindow is a convenience for the paper's "record only
-// slow iterations" workflow: given the segment boundaries of the k
-// slowest iterations (start and end times), it returns the sub-trace
-// covering their union span.
-func (tr *Trace) SlowestIterationsWindow(starts, ends []Time) *Trace {
-	if len(starts) == 0 || len(ends) == 0 {
-		// No selection: an empty trace with the same definitions.
-		out := New(tr.Name, tr.NumRanks())
-		out.Regions = append([]Region(nil), tr.Regions...)
-		out.Metrics = append([]Metric(nil), tr.Metrics...)
-		for rank := range tr.Procs {
-			out.Procs[rank].Proc = tr.Procs[rank].Proc
-		}
-		return out
-	}
-	from, to := starts[0], ends[0]
-	for _, s := range starts[1:] {
-		if s < from {
-			from = s
-		}
-	}
-	for _, e := range ends[1:] {
-		if e > to {
-			to = e
-		}
-	}
-	return tr.Window(from, to)
 }

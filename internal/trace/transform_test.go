@@ -1,8 +1,11 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -138,19 +141,52 @@ func TestFilterRanks(t *testing.T) {
 	}
 }
 
-func TestSlowestIterationsWindow(t *testing.T) {
-	tr := windowFixture()
-	w := tr.SlowestIterationsWindow([]Time{10, 30}, []Time{20, 40})
-	if err := w.Validate(); err != nil {
+// TestWindowDeterministic: the carry-in samples follow MetricID order,
+// so repeated windows of the same trace encode to the same bytes.
+func TestWindowDeterministic(t *testing.T) {
+	tr := New("metrics", 1)
+	main := tr.AddRegion("main", ParadigmUser, RoleFunction)
+	tr.Append(0, Enter(0, main))
+	for i := 0; i < 8; i++ {
+		id := tr.AddMetric(fmt.Sprintf("m%d", i), "#", MetricAbsolute)
+		tr.Append(0, Sample(Time(1+i), id, float64(i)))
+	}
+	tr.Append(0, Leave(30, main))
+	var want bytes.Buffer
+	if err := Write(&want, tr.Window(10, 20)); err != nil {
 		t.Fatal(err)
 	}
-	first, last := w.Span()
-	if first != 10 || last != 40 {
-		t.Fatalf("span = (%d,%d), want (10,40)", first, last)
+	for i := 0; i < 50; i++ {
+		var got bytes.Buffer
+		if err := Write(&got, tr.Window(10, 20)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Fatalf("window %d encodes differently from the first", i)
+		}
 	}
-	empty := tr.SlowestIterationsWindow(nil, nil)
-	if empty.NumEvents() != 0 {
-		t.Fatalf("empty selection has %d events", empty.NumEvents())
+}
+
+// TestWindowStreamsStopsPastEnd: each rank is read only up to its first
+// event past the window end.
+func TestWindowStreamsStopsPastEnd(t *testing.T) {
+	tr := windowFixture()
+	fed := 0
+	w, err := WindowStreams(tr.Header(), 12, 35, func(rank int, fn func(Event) error) error {
+		return tr.StreamRank(rank, func(ev Event) error {
+			fed++
+			return fn(ev)
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Seven events up to Leave(f)@40, the first past 35, on each rank.
+	if fed != 2*7 {
+		t.Fatalf("fed %d events, want %d", fed, 2*7)
+	}
+	if !reflect.DeepEqual(w, tr.Window(12, 35)) {
+		t.Fatal("WindowStreams differs from Window")
 	}
 }
 

@@ -277,18 +277,10 @@ func drawMessages(img *image.RGBA, l layout, o RenderOptions, tr *trace.Trace, f
 	}
 }
 
-// SOSHeatmap renders the paper's core visualization: per rank and time,
-// the segments of the dominant function colored by SOS-time — blue for
-// fast segments, red for slow ones.
-func SOSHeatmap(tr *trace.Trace, m *segment.Matrix, opts RenderOptions) *image.RGBA {
-	first, last := tr.Span()
-	return SOSHeatmapSpan(first, last, m, opts)
-}
-
-// SOSHeatmapSpan is SOSHeatmap for callers that know the run span but
-// hold no materialized trace — the rendering path of streaming analysis
-// results. The trace only ever contributed its span; given the same
-// span and matrix the pixels are identical.
+// SOSHeatmapSpan renders the paper's core visualization: per rank and
+// time, the segments of the dominant function colored by SOS-time — blue
+// for fast segments, red for slow ones. first and last are the run span
+// (Trace.Span), which places the segments on the time axis.
 func SOSHeatmapSpan(first, last trace.Time, m *segment.Matrix, opts RenderOptions) *image.RGBA {
 	o := opts.withDefaults()
 	img := newCanvas(o)

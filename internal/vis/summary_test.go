@@ -138,7 +138,9 @@ func TestComparisonHeatmap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img := ComparisonHeatmap(trA, mA, trA, mA, RenderOptions{Width: 300, Height: 160, Labels: true})
+	first, last := trA.Span()
+	run := ComparedRun{Name: trA.Name, First: first, Last: last, Matrix: mA}
+	img := ComparisonHeatmap(run, run, RenderOptions{Width: 300, Height: 160, Labels: true})
 	if img.Bounds().Dy() != 160 {
 		t.Fatal("size wrong")
 	}

@@ -131,7 +131,8 @@ func fig3Heatmap(t *testing.T, opts RenderOptions) (*trace.Trace, *segment.Matri
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, m, SOSHeatmap(tr, m, opts)
+	first, last := tr.Span()
+	return tr, m, SOSHeatmapSpan(first, last, m, opts)
 }
 
 func TestSOSHeatmapHotColdPlacement(t *testing.T) {
@@ -229,7 +230,7 @@ func TestEmptyTraceRendering(t *testing.T) {
 		t.Error("empty timeline wrong size")
 	}
 	m := &segment.Matrix{}
-	img := SOSHeatmap(tr, m, RenderOptions{Width: 50, Height: 20})
+	img := SOSHeatmapSpan(0, 0, m, RenderOptions{Width: 50, Height: 20})
 	if img.RGBAAt(25, 10) != ColorBackground {
 		t.Error("empty heatmap not background")
 	}
@@ -312,9 +313,10 @@ func TestRenderSizeProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	first, last := tr.Span()
 	f := func(w, h uint8) bool {
 		opts := RenderOptions{Width: int(w%200) + 10, Height: int(h%150) + 10, Labels: w%2 == 0}
-		img := SOSHeatmap(tr, m, opts)
+		img := SOSHeatmapSpan(first, last, m, opts)
 		return img.Bounds().Dx() == opts.Width && img.Bounds().Dy() == opts.Height
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -77,7 +77,7 @@ func TestLintStreamEquivalence(t *testing.T) {
 							t.Fatal(err)
 						}
 						defer st.Close()
-						if st.Trace() != nil {
+						if EngineOf(st) != EngineStream {
 							t.Fatalf("jobs=%d %s: source materialized a trace", jobs, label)
 						}
 						res, err := lint.RunSource(context.Background(), st, lint.Options{})
@@ -118,7 +118,7 @@ func TestLintStreamBrokenTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st.Close()
-			if st.Trace() == nil {
+			if EngineOf(st) != EngineMaterialized {
 				t.Fatal("pvtt source should materialize")
 			}
 			res, err := lint.RunSource(context.Background(), st, lint.Options{})

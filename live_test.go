@@ -72,10 +72,7 @@ func TestLiveSourceEquivalence(t *testing.T) {
 	if got.Engine != EngineStream {
 		t.Fatalf("engine = %q, want %q", got.Engine, EngineStream)
 	}
-	if got.Trace != nil {
-		t.Fatal("live source result retains a trace")
-	}
-	assertResultsEqual(t, "live", want, got)
+	assertResultsEqual(t, "live", tr, want, got)
 
 	// The sealed archive must be byte-identical to trace.Write.
 	var wantBuf, gotBuf bytes.Buffer

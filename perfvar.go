@@ -203,19 +203,24 @@ type Options struct {
 // source; CausalitySource takes the archive and the restored Matrix.
 var ErrNoTrace = errors.New("perfvar: the result has no re-openable source (restored from disk)")
 
-// Result is the complete outcome of one analysis run.
+// Result is the complete outcome of one analysis run. Every result has
+// the same shape, whatever kind of source it was analyzed from: the
+// views answer from the analysis and the tallied trace metadata, and
+// the operations that need the events stream the source again.
 type Result struct {
-	// Trace is the analyzed in-memory trace when one backs the result
-	// (Analyze, TraceSource, pvtt and workload sources); nil when the
-	// streaming engine analyzed the source without materializing it.
+	// Trace is never set: a result keeps its source, not a trace, and
+	// SlowestIterationsTrace extracts sub-traces from that source.
+	//
+	// Deprecated: always nil.
 	Trace     *Trace
 	Selection Selection
 	Matrix    *Matrix
 	Analysis  *Analysis
 	// MPIFraction is the binned MPI-time share over the run.
 	MPIFraction []float64
-	// Engine reports which pipeline produced the result: EngineStream or
-	// EngineMaterialized. Both produce byte-identical analyses.
+	// Engine reports whether the source streamed from an in-memory trace
+	// (EngineMaterialized) or without one (EngineStream); see EngineOf.
+	// Both produce byte-identical analyses.
 	Engine string
 	// Lint is the fused lint result when Options.Lint was set (identical
 	// to a standalone lint.Run/RunSource over the same data), nil
@@ -223,14 +228,14 @@ type Result struct {
 	Lint *lint.Result
 
 	// source re-opens the measurement data for operations that need
-	// another pass (Refine, Breakdown, Causality); nil on restored
-	// results.
+	// another pass (Refine, Breakdown, Causality,
+	// SlowestIterationsTrace); nil on restored results.
 	source Source
 	info   resultInfo
 }
 
-// resultInfo is the trace metadata a streaming analysis retains in place
-// of the trace itself: enough for reports and span-based rendering.
+// resultInfo is the trace metadata an analysis retains in place of the
+// trace itself: enough for reports and span-based rendering.
 type resultInfo struct {
 	name        string
 	ranks       int
@@ -271,13 +276,9 @@ func (r *Result) Refine(opts Options) (*Result, error) {
 	return AnalyzeSource(context.Background(), r.source, opts)
 }
 
-// Report builds the text/JSON report for the result. Streaming results
-// build it from the metadata tallied during analysis; the bytes are
-// identical to the materialized path's.
+// Report builds the text/JSON report for the result from the metadata
+// tallied during analysis.
 func (r *Result) Report() *Report {
-	if r.Trace != nil {
-		return report.New(r.Trace, r.Selection, r.Analysis, r.MPIFraction)
-	}
 	return &report.Report{
 		TraceName:   r.info.name,
 		Ranks:       r.info.ranks,
@@ -290,35 +291,47 @@ func (r *Result) Report() *Report {
 
 // SlowestIterationsTrace extracts the sub-trace covering the k slowest
 // iterations (by maximum SOS-time across ranks) — the paper's workflow of
-// keeping only the interesting iterations for focused analysis. The
-// result is a balanced, analyzable trace. It requires a materialized
-// trace and returns nil on streaming results (Trace == nil).
-func (r *Result) SlowestIterationsTrace(k int) *Trace {
-	if r.Trace == nil {
-		return nil
+// keeping only the interesting iterations for focused analysis. It
+// streams the result's source again, each rank only up to the end of the
+// time window those iterations span; the sub-trace is balanced,
+// analyzable, and equal to Trace.Window over that window. k ≤ 0 selects
+// no iteration and gives the definitions without events. A restored
+// result has no source (ErrNoTrace).
+func (r *Result) SlowestIterationsTrace(k int) (*Trace, error) {
+	if r.source == nil {
+		return nil, ErrNoTrace
 	}
 	iters := append([]imbalance.IterationStats(nil), r.Analysis.Iterations...)
 	sort.Slice(iters, func(i, j int) bool { return iters[i].MaxSOS > iters[j].MaxSOS })
-	if k > len(iters) {
-		k = len(iters)
-	}
-	var starts, ends []trace.Time
+	k = max(0, min(k, len(iters)))
+	var from, to trace.Time
+	selected := false
 	for _, is := range iters[:k] {
 		for _, seg := range r.Matrix.Column(is.Index) {
-			starts = append(starts, seg.Start)
-			ends = append(ends, seg.End)
+			if !selected || seg.Start < from {
+				from = seg.Start
+			}
+			if !selected || seg.End > to {
+				to = seg.End
+			}
+			selected = true
 		}
 	}
-	return r.Trace.SlowestIterationsWindow(starts, ends)
+	st, err := r.source.Open(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	stream := st.StreamRank
+	if !selected {
+		stream = func(int, func(Event) error) error { return nil }
+	}
+	return trace.WindowStreams(st.Header(), from, to, stream)
 }
 
-// Heatmap renders the SOS-time heatmap (the paper's core visualization).
-// Streaming results render from the run span tallied during analysis —
-// pixel-identical to the materialized rendering.
+// Heatmap renders the SOS-time heatmap (the paper's core visualization)
+// over the run span tallied during analysis.
 func (r *Result) Heatmap(opts RenderOptions) *vis.Image {
-	if r.Trace != nil {
-		return vis.SOSHeatmap(r.Trace, r.Matrix, opts)
-	}
 	return vis.SOSHeatmapSpan(r.info.first, r.info.last, r.Matrix, opts)
 }
 
@@ -445,7 +458,11 @@ func CompareRuns(a, b *Result) *Comparison {
 // ComparisonHeatmap renders two runs' SOS heatmaps stacked with a shared
 // color scale (run A on top).
 func ComparisonHeatmap(a, b *Result, opts RenderOptions) *Image {
-	return vis.ComparisonHeatmap(a.Trace, a.Matrix, b.Trace, b.Matrix, opts)
+	return vis.ComparisonHeatmap(a.comparedRun(), b.comparedRun(), opts)
+}
+
+func (r *Result) comparedRun() vis.ComparedRun {
+	return vis.ComparedRun{Name: r.info.name, First: r.info.first, Last: r.info.last, Matrix: r.Matrix}
 }
 
 // CorrectClocks detects causality violations (messages received before

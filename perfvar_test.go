@@ -228,7 +228,10 @@ func TestSlowestIterationsTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := res.SlowestIterationsTrace(1)
+	sub, err := res.SlowestIterationsTrace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := sub.Validate(); err != nil {
 		t.Fatalf("windowed trace invalid: %v", err)
 	}
@@ -249,7 +252,10 @@ func TestSlowestIterationsTrace(t *testing.T) {
 		t.Fatalf("window (%d) not much shorter than run (%d)", l-f, fullEnd)
 	}
 	// k larger than the iteration count is clamped.
-	all := res.SlowestIterationsTrace(10_000)
+	all, err := res.SlowestIterationsTrace(10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := all.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -9,13 +9,13 @@ import (
 	"perfvar/internal/trace"
 )
 
-// storedResult is the gob envelope of a persisted analysis: the
-// streaming-result state of a Result — selection, segment matrix,
-// imbalance analysis, MPI-share timeline, and the trace metadata that
-// backs reports and span-based rendering. The event streams themselves
-// are never persisted, and neither is the source: a restored Result has
-// Trace == nil like a streamed one, and the views that stream the source
-// again (Causality, Breakdown, Refine) return ErrNoTrace.
+// storedResult is the gob envelope of a persisted analysis: the state of
+// a Result — selection, segment matrix, imbalance analysis, MPI-share
+// timeline, and the trace metadata that backs reports and span-based
+// rendering. The event streams themselves are never persisted, and
+// neither is the source: the operations that stream the source again
+// (Causality, Breakdown, Refine, SlowestIterationsTrace) return
+// ErrNoTrace on a restored Result.
 type storedResult struct {
 	Name        string
 	Ranks       int
@@ -30,26 +30,12 @@ type storedResult struct {
 }
 
 // EncodeStored serializes the result for perfvard's disk tier. The
-// fused lint outcome and any retained trace or source are deliberately
-// excluded — they are re-derivable from the archive, and the disk tier
-// must restore results without holding event streams.
+// fused lint outcome and the source are deliberately excluded — they
+// are re-derivable from the archive, and the disk tier must restore
+// results without holding event streams.
 func (r *Result) EncodeStored(w io.Writer) error {
 	if r.Matrix == nil || r.Analysis == nil {
 		return fmt.Errorf("perfvar: cannot persist an incomplete result")
-	}
-	info := r.info
-	if r.Trace != nil {
-		// Materialized results carry their metadata in the trace; fill
-		// the info mirror so the restored (streaming-shaped) result
-		// reports identically.
-		first, last := r.Trace.Span()
-		info = resultInfo{
-			name:   r.Trace.Name,
-			ranks:  r.Trace.NumRanks(),
-			events: int64(r.Trace.NumEvents()),
-			first:  first,
-			last:   last,
-		}
 	}
 	// Analysis.Matrix aliases Result.Matrix; gob flattens pointers, so
 	// encoding both would double the payload. Strip the alias and
@@ -57,11 +43,11 @@ func (r *Result) EncodeStored(w io.Writer) error {
 	analysis := *r.Analysis
 	analysis.Matrix = nil
 	return gob.NewEncoder(w).Encode(storedResult{
-		Name:        info.name,
-		Ranks:       info.ranks,
-		Events:      info.events,
-		First:       info.first,
-		Last:        info.last,
+		Name:        r.info.name,
+		Ranks:       r.info.ranks,
+		Events:      r.info.events,
+		First:       r.info.first,
+		Last:        r.info.last,
 		Selection:   r.Selection,
 		Matrix:      r.Matrix,
 		Analysis:    &analysis,
@@ -71,9 +57,9 @@ func (r *Result) EncodeStored(w io.Writer) error {
 }
 
 // DecodeStoredResult restores a Result persisted with EncodeStored.
-// The restored result has no materialized trace and no re-openable
-// source: report, heatmap, histogram, and phase views work as on any
-// streaming result; Causality, Breakdown and Refine return ErrNoTrace
+// The restored result has no re-openable source: report, heatmap,
+// histogram, and phase views work as on any result; Causality,
+// Breakdown, Refine and SlowestIterationsTrace return ErrNoTrace
 // (CausalitySource over the archive takes the restored Matrix).
 func DecodeStoredResult(rd io.Reader) (*Result, error) {
 	var sr storedResult

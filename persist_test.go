@@ -76,9 +76,6 @@ func TestStoredResultRoundTrip(t *testing.T) {
 				t.Fatal("restored heatmap pixels differ from original")
 			}
 
-			if restored.Trace != nil {
-				t.Fatal("restored result carries a materialized trace")
-			}
 			if _, err := restored.Causality(); err != ErrNoTrace {
 				t.Fatalf("Causality on restored result = %v, want ErrNoTrace", err)
 			}

@@ -16,11 +16,11 @@ import (
 // from disk (FileSource) or from bytes already in memory
 // (ArchiveSource), or generate a synthetic workload on demand
 // (WorkloadSource, SyntheticSource), then run AnalyzeSource. Sources
-// whose archive layout supports per-rank framing — PVTR files, directory
-// archives, and on-demand generators — are analyzed by the single-pass
-// streaming engine without ever materializing the event streams; the
-// rest go through the in-memory path. Either way the results are
-// byte-identical.
+// whose archive layout supports per-rank framing — PVTR files,
+// directory archives, and on-demand generators — stream without ever
+// materializing the event streams; the rest are materialized on Open and
+// streamed from memory. Either way the single-pass engine analyzes the
+// streams, and the results are byte-identical.
 type Source interface {
 	// Open prepares the source and returns its per-rank event streams.
 	// Each call returns an independent handle; Close releases it.
@@ -39,11 +39,18 @@ type SourceStreams interface {
 	// and calls for different ranks may run concurrently. Returning
 	// ErrStopStream from fn ends the stream early without error.
 	StreamRank(rank int, fn func(Event) error) error
-	// Trace returns the in-memory trace backing the streams, or nil when
-	// the source streams without materializing one.
-	Trace() *Trace
 	// Close releases the handle.
 	Close() error
+}
+
+// EngineOf reports the engine tag of open streams, as Result.Engine and
+// perfvard's X-Perfvar-Engine header carry it: EngineMaterialized when
+// an in-memory trace backs the streams, EngineStream otherwise.
+func EngineOf(st SourceStreams) string {
+	if _, ok := st.(*traceStreams); ok {
+		return EngineMaterialized
+	}
+	return EngineStream
 }
 
 // TraceSource adapts an in-memory trace to the Source API. Analyze and
@@ -65,16 +72,11 @@ type traceStreams struct {
 }
 
 func newTraceStreams(tr *Trace) *traceStreams {
-	h := &trace.Header{Name: tr.Name, Regions: tr.Regions, Metrics: tr.Metrics}
-	for i := range tr.Procs {
-		h.Procs = append(h.Procs, tr.Procs[i].Proc)
-	}
-	return &traceStreams{tr: tr, header: h}
+	return &traceStreams{tr: tr, header: tr.Header()}
 }
 
 func (s *traceStreams) Header() *TraceHeader { return s.header }
 func (s *traceStreams) NumRanks() int        { return s.tr.NumRanks() }
-func (s *traceStreams) Trace() *Trace        { return s.tr }
 func (s *traceStreams) Close() error         { return nil }
 
 func (s *traceStreams) StreamRank(rank int, fn func(Event) error) error {
@@ -89,8 +91,7 @@ type rankStreamer interface {
 	StreamRank(rank int, fn func(trace.Event) error) error
 }
 
-// archiveStreams adapts a trace-level streamer to SourceStreams; no
-// materialized trace backs it.
+// archiveStreams adapts a trace-level streamer to SourceStreams.
 type archiveStreams struct {
 	str    rankStreamer
 	closer io.Closer // backing file, when the source owns one
@@ -98,7 +99,6 @@ type archiveStreams struct {
 
 func (s *archiveStreams) Header() *TraceHeader { return s.str.Header() }
 func (s *archiveStreams) NumRanks() int        { return s.str.NumRanks() }
-func (s *archiveStreams) Trace() *Trace        { return nil }
 
 func (s *archiveStreams) StreamRank(rank int, fn func(Event) error) error {
 	return s.str.StreamRank(rank, fn)
@@ -115,8 +115,8 @@ func (s *archiveStreams) Close() error {
 // archives (anchor + per-rank files) stream per rank with memory bounded
 // by definitions and ranks; text (pvtt) archives — a line-oriented
 // format with no per-rank framing — are materialized on Open and
-// analyzed through the in-memory path. The file-or-directory decision is
-// made on the opened handle, never by a separate stat, so a path swapped
+// streamed from memory. The file-or-directory decision is made on the
+// opened handle, never by a separate stat, so a path swapped
 // concurrently cannot select the wrong decoder.
 func FileSource(path string) Source { return fileSource{path: path} }
 
@@ -216,7 +216,6 @@ type synthStreams synthSource
 
 func (s synthStreams) Header() *TraceHeader { return s.h }
 func (s synthStreams) NumRanks() int        { return len(s.h.Procs) }
-func (s synthStreams) Trace() *Trace        { return nil }
 func (s synthStreams) Close() error         { return nil }
 
 func (s synthStreams) StreamRank(rank int, fn func(Event) error) error {
@@ -231,7 +230,7 @@ func (s synthStreams) StreamRank(rank int, fn func(Event) error) error {
 
 // WorkloadSource wraps a trace generator (GenerateFD4 and friends, or
 // any measurement producer): the workload is generated on Open and
-// analyzed through the in-memory path.
+// streamed from memory.
 func WorkloadSource(gen func() (*Trace, error)) Source { return workloadSource{gen: gen} }
 
 type workloadSource struct{ gen func() (*Trace, error) }

@@ -12,12 +12,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
+	"perfvar/internal/core/imbalance"
 	"perfvar/internal/trace"
+	"perfvar/internal/vis"
 	"perfvar/internal/workloads"
 )
 
@@ -34,9 +38,13 @@ func streamEquivTraces(t *testing.T) map[string]*Trace {
 	}
 }
 
-// assertResultsEqual compares every component of two results, plus their
-// serialized report bytes and rendered heatmap pixels.
-func assertResultsEqual(t *testing.T, label string, want, got *Result) {
+// assertResultsEqual compares every component of two results of tr,
+// plus their serialized report bytes and rendered heatmap pixels. Both
+// results answer Report and Heatmap through the same code, so got is
+// also checked against tr itself: the report's trace fields against
+// tr.Name, NumRanks and NumEvents, and the heatmap against
+// vis.SOSHeatmapSpan over tr.Span().
+func assertResultsEqual(t *testing.T, label string, tr *Trace, want, got *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(want.Selection, got.Selection) {
 		t.Errorf("%s: selections differ", label)
@@ -63,6 +71,14 @@ func assertResultsEqual(t *testing.T, label string, want, got *Result) {
 	ro := RenderOptions{Width: 300, Height: 160, Labels: true}
 	if !bytes.Equal(want.Heatmap(ro).Pix, got.Heatmap(ro).Pix) {
 		t.Errorf("%s: heatmap pixels differ", label)
+	}
+	if rep := got.Report(); rep.TraceName != tr.Name || rep.Ranks != tr.NumRanks() || rep.Events != tr.NumEvents() {
+		t.Errorf("%s: report trace fields (%q, %d ranks, %d events), want (%q, %d, %d)", label,
+			rep.TraceName, rep.Ranks, rep.Events, tr.Name, tr.NumRanks(), tr.NumEvents())
+	}
+	first, last := tr.Span()
+	if !bytes.Equal(vis.SOSHeatmapSpan(first, last, want.Matrix, ro).Pix, got.Heatmap(ro).Pix) {
+		t.Errorf("%s: heatmap pixels differ from the trace-span rendering", label)
 	}
 }
 
@@ -115,10 +131,7 @@ func TestStreamingEngineEquivalence(t *testing.T) {
 					if got.Engine != EngineStream {
 						t.Errorf("jobs=%d %s: engine = %q, want %q", jobs, label, got.Engine, EngineStream)
 					}
-					if got.Trace != nil {
-						t.Errorf("jobs=%d %s: streaming result retains a trace", jobs, label)
-					}
-					assertResultsEqual(t, label, want, got)
+					assertResultsEqual(t, label, loaded, want, got)
 				}
 			}
 		})
@@ -127,7 +140,7 @@ func TestStreamingEngineEquivalence(t *testing.T) {
 
 // TestStreamingTextFallback: pvtt archives have no per-rank framing, so
 // FileSource materializes them — the result must match Analyze and carry
-// the materialized engine tag (and a usable Trace).
+// the materialized engine tag.
 func TestStreamingTextFallback(t *testing.T) {
 	res, err := AnalyzeSource(context.Background(), FileSource(filepath.Join("testdata", "traces", "fig2.pvtt")), Options{})
 	if err != nil {
@@ -135,9 +148,6 @@ func TestStreamingTextFallback(t *testing.T) {
 	}
 	if res.Engine != EngineMaterialized {
 		t.Fatalf("engine = %q, want %q", res.Engine, EngineMaterialized)
-	}
-	if res.Trace == nil {
-		t.Fatal("pvtt source lost its materialized trace")
 	}
 	tr, err := LoadTrace(filepath.Join("testdata", "traces", "fig2.pvtt"))
 	if err != nil {
@@ -147,7 +157,7 @@ func TestStreamingTextFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertResultsEqual(t, "pvtt", want, res)
+	assertResultsEqual(t, "pvtt", tr, want, res)
 }
 
 // TestStreamingWorkloadSource: generator-backed sources run the
@@ -158,14 +168,15 @@ func TestStreamingWorkloadSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Engine != EngineMaterialized || res.Trace == nil {
-		t.Fatalf("engine = %q, trace = %v", res.Engine, res.Trace != nil)
+	if res.Engine != EngineMaterialized {
+		t.Fatalf("engine = %q, want %q", res.Engine, EngineMaterialized)
 	}
-	want, err := Analyze(workloads.Fig2Trace(), Options{})
+	tr := workloads.Fig2Trace()
+	want, err := Analyze(tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertResultsEqual(t, "workload", want, res)
+	assertResultsEqual(t, "workload", tr, want, res)
 }
 
 // assertViewsEqual compares the views that stream a result's source
@@ -210,8 +221,7 @@ func assertViewsEqual(t *testing.T, label string, want, got *Result) {
 
 // TestStreamingResultGuards: Causality and Breakdown stream a streaming
 // result's source again and must equal the materialized result's views
-// on every archive layout; Refine must re-stream the retained source;
-// SlowestIterationsTrace still needs a materialized trace.
+// on every archive layout; Refine must re-stream the retained source.
 func TestStreamingResultGuards(t *testing.T) {
 	cfg := workloads.DefaultFD4()
 	cfg.Ranks = 16
@@ -220,41 +230,23 @@ func TestStreamingResultGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "fd4.pvt")
-	if err := SaveTrace(path, tr); err != nil {
-		t.Fatal(err)
-	}
-	archiveDir := filepath.Join(dir, "fd4.pvtd")
-	if err := SaveTraceDir(archiveDir, tr); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	matRes, err := Analyze(tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		label string
-		src   Source
-	}{{"file", FileSource(path)}, {"dir", FileSource(archiveDir)}, {"archive", ArchiveSource(raw)}} {
+	srcs := entrySources(t, tr)[1:] // every archive layout
+	for _, c := range srcs {
 		res, err := AnalyzeSource(context.Background(), c.src, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Trace != nil {
-			t.Fatalf("%s: expected a streaming result", c.label)
+		if res.Engine != EngineStream {
+			t.Fatalf("%s: engine = %q, want %q", c.label, res.Engine, EngineStream)
 		}
 		assertViewsEqual(t, c.label, matRes, res)
-		if sub := res.SlowestIterationsTrace(2); sub != nil {
-			t.Errorf("%s: SlowestIterationsTrace on a streaming result should be nil", c.label)
-		}
 	}
 
-	res, err := AnalyzeSource(context.Background(), FileSource(path), Options{})
+	res, err := AnalyzeSource(context.Background(), srcs[0].src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,5 +340,155 @@ func TestRankStreamsMatchMaterialized(t *testing.T) {
 		return trace.ErrStopStream
 	}); err != nil || n != 1 {
 		t.Fatalf("early stop: n=%d err=%v", n, err)
+	}
+}
+
+// labeledSource is one entry path of a test trace.
+type labeledSource struct {
+	label string
+	src   Source
+}
+
+// entrySources returns tr through every entry path: the in-memory trace,
+// a PVTR file, a directory archive, and PVTR bytes in memory.
+func entrySources(t *testing.T, tr *Trace) []labeledSource {
+	t.Helper()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.pvt")
+	if err := SaveTrace(path, tr); err != nil {
+		t.Fatal(err)
+	}
+	archiveDir := filepath.Join(dir, "run.pvtd")
+	if err := SaveTraceDir(archiveDir, tr); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []labeledSource{
+		{"trace", TraceSource(tr)},
+		{"file", FileSource(path)},
+		{"dir", FileSource(archiveDir)},
+		{"archive", ArchiveSource(raw)},
+	}
+}
+
+// restore round-trips res through the disk-tier encoding.
+func restore(t *testing.T, res *Result) *Result {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := res.EncodeStored(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := DecodeStoredResult(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return restored
+}
+
+// TestComparisonHeatmapAnySource: the comparison view renders from each
+// result's tallied name and span, so streamed and restored results give
+// the image of the in-memory trace's result.
+func TestComparisonHeatmapAnySource(t *testing.T) {
+	tr, err := GenerateFD4(smallFD4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro := RenderOptions{Width: 300, Height: 160, Labels: true}
+	var want *Image
+	for _, c := range entrySources(t, tr) {
+		res, err := AnalyzeSource(context.Background(), c.src, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		if want == nil {
+			want = ComparisonHeatmap(res, res, ro)
+		}
+		if got := ComparisonHeatmap(res, res, ro); !bytes.Equal(want.Pix, got.Pix) {
+			t.Errorf("%s: comparison heatmap differs from the in-memory trace's", c.label)
+		}
+		restored := restore(t, res)
+		if got := ComparisonHeatmap(restored, restored, ro); !bytes.Equal(want.Pix, got.Pix) {
+			t.Errorf("%s restored: comparison heatmap differs from the in-memory trace's", c.label)
+		}
+	}
+}
+
+// TestSlowestIterationsTraceEquivalence: the k slowest iterations are
+// streamed again from the result's source; every entry path, and a
+// generator that never materializes, must give the bytes of Trace.Window
+// over the materialized trace.
+func TestSlowestIterationsTraceEquivalence(t *testing.T) {
+	fd4, err := GenerateFD4(smallFD4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := synthTestConfig()
+	var archive bytes.Buffer
+	if err := cfg.WriteArchive(&archive); err != nil {
+		t.Fatal(err)
+	}
+	synth, err := trace.ReadAny(bytes.NewReader(archive.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct {
+		name  string
+		tr    *Trace
+		extra []labeledSource
+	}{
+		{"fd4", fd4, nil},
+		{"synthetic", synth, []labeledSource{{"synthetic", SyntheticSource(cfg.Header(), cfg.StreamRank)}}},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			ref, err := Analyze(w.tr, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			iters := append([]imbalance.IterationStats(nil), ref.Analysis.Iterations...)
+			sort.Slice(iters, func(i, j int) bool { return iters[i].MaxSOS > iters[j].MaxSOS })
+			for _, k := range []int{0, 1, 3, len(iters)} {
+				// The oracle: Trace.Window over the span of the k slowest
+				// iterations' segments; no iteration keeps the definitions.
+				want := w.tr.Transform(func(Rank, []Event) []Event { return nil })
+				if k > 0 {
+					first := ref.Matrix.Column(iters[0].Index)[0]
+					from, to := first.Start, first.End
+					for _, is := range iters[:k] {
+						for _, seg := range ref.Matrix.Column(is.Index) {
+							from, to = min(from, seg.Start), max(to, seg.End)
+						}
+					}
+					want = w.tr.Window(from, to)
+				}
+				var wantBytes bytes.Buffer
+				if err := trace.Write(&wantBytes, want); err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range append(entrySources(t, w.tr), w.extra...) {
+					res, err := AnalyzeSource(context.Background(), c.src, Options{})
+					if err != nil {
+						t.Fatalf("%s: %v", c.label, err)
+					}
+					sub, err := res.SlowestIterationsTrace(k)
+					if err != nil {
+						t.Fatalf("%s k=%d: %v", c.label, k, err)
+					}
+					var got bytes.Buffer
+					if err := trace.Write(&got, sub); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(wantBytes.Bytes(), got.Bytes()) {
+						t.Errorf("%s k=%d: sub-trace differs from Trace.Window (%d vs %d bytes)",
+							c.label, k, got.Len(), wantBytes.Len())
+					}
+				}
+			}
+			if _, err := restore(t, ref).SlowestIterationsTrace(1); !errors.Is(err, ErrNoTrace) {
+				t.Fatalf("restored result: err = %v, want ErrNoTrace", err)
+			}
+		})
 	}
 }

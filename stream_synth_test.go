@@ -51,10 +51,10 @@ func TestSyntheticSourceEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Engine != EngineStream || got.Trace != nil {
-		t.Fatalf("engine = %q, trace = %v; want pure streaming", got.Engine, got.Trace != nil)
+	if got.Engine != EngineStream {
+		t.Fatalf("engine = %q, want %q", got.Engine, EngineStream)
 	}
-	assertResultsEqual(t, "synthetic", want, got)
+	assertResultsEqual(t, "synthetic", tr, want, got)
 	assertViewsEqual(t, "synthetic", want, got)
 
 	// A tiny candidate budget evicts the winner and forces the fallback
@@ -63,7 +63,7 @@ func TestSyntheticSourceEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertResultsEqual(t, "synthetic-fallback", want, forced)
+	assertResultsEqual(t, "synthetic-fallback", tr, want, forced)
 
 	// The hotspot must land where the generator injected it.
 	if len(got.Analysis.Hotspots) == 0 {
