@@ -9,20 +9,18 @@
 //	pvtlint -severity warning run.pvt   # hide info-level findings
 //	pvtlint -json run.pvt               # machine-readable report
 //	pvtlint -analyzers nesting,msgmatch run.pvt
-//	pvtlint -stream big.pvtr            # lint without materializing
 //	pvtlint -fix fixed.pvt broken.pvt   # write a mechanically repaired copy
 //	pvtlint -list                       # analyzer catalog
 //
-// With -stream the archive is linted through the Source API: PVTR files
-// and directory archives are swept per rank without ever materializing
-// the event streams, so memory stays bounded by ranks and call depth
-// instead of events. The diagnostics are byte-identical to the default
-// in-memory path. -fix needs the whole trace in memory and is therefore
-// incompatible with -stream.
+// Archives are linted through the Source API: PVTR files and directory
+// archives are swept per rank without materializing the event streams,
+// so memory stays bounded by ranks and call depth instead of events
+// (text pvtt archives are parsed into memory). Only -fix, which rewrites
+// the whole trace, loads it.
 //
 // The exit status is 0 when no error-severity findings exist, 1 when at
 // least one does, and 2 on usage or read failures. Unlike the analysis
-// commands, pvtlint loads archives without validation — diagnosing
+// commands, pvtlint reads archives without validation — diagnosing
 // invalid traces is its purpose.
 package main
 
@@ -56,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxPer    = fs.Int("max", 20, "findings printed per analyzer in text mode (0 = all)")
 		list      = fs.Bool("list", false, "print the analyzer catalog and exit")
 		jobs      = fs.Int("j", 0, "worker goroutines for decoding and per-rank checks (0 = GOMAXPROCS)")
-		stream    = fs.Bool("stream", false, "lint through the streaming Source API without materializing the trace")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -73,10 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(paths) == 0 {
 		fmt.Fprintln(stderr, "pvtlint: no trace archives given")
 		fs.Usage()
-		return 2
-	}
-	if *fixPath != "" && *stream {
-		fmt.Fprintln(stderr, "pvtlint: -stream is incompatible with -fix (fix requires a materialized trace)")
 		return 2
 	}
 	if *fixPath != "" && len(paths) != 1 {
@@ -102,48 +95,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "pvtlint:", err)
+		return 2
+	}
 	errorsFound := false
 	for _, path := range paths {
-		var res *lint.Result
-		var tr *trace.Trace
-		if *stream {
-			var err error
-			res, err = lintStream(path, opts)
-			if err != nil {
-				fmt.Fprintln(stderr, "pvtlint:", err)
-				return 2
-			}
-		} else {
-			var err error
-			tr, err = loadRaw(path)
-			if err != nil {
-				fmt.Fprintln(stderr, "pvtlint:", err)
-				return 2
-			}
-			res = lint.Run(tr, opts)
+		res, err := lintFile(path, opts)
+		if err != nil {
+			return fail(err)
 		}
 		if res.HasErrors() {
 			errorsFound = true
 		}
 		if *jsonOut {
 			if err := res.WriteJSON(stdout); err != nil {
-				fmt.Fprintln(stderr, "pvtlint:", err)
-				return 2
+				return fail(err)
 			}
 		} else {
 			if len(paths) > 1 {
 				fmt.Fprintf(stdout, "== %s\n", path)
 			}
 			if err := res.WriteText(stdout, *maxPer); err != nil {
-				fmt.Fprintln(stderr, "pvtlint:", err)
-				return 2
+				return fail(err)
 			}
 		}
 		if *fixPath != "" {
+			tr, err := trace.ReadAnyFile(path)
+			if err != nil {
+				return fail(err)
+			}
 			fixed, rep := lint.Fix(tr, *minLat)
 			if err := saveTrace(*fixPath, fixed); err != nil {
-				fmt.Fprintln(stderr, "pvtlint:", err)
-				return 2
+				return fail(err)
 			}
 			fmt.Fprintf(stdout, "fix: wrote %s (dropped %d events, synthesized %d leaves, clamped %d sizes, clock offsets applied: %v)\n",
 				*fixPath, rep.DroppedEvents, rep.SynthesizedLeaves, rep.ClampedSizes, rep.ClockApplied)
@@ -155,24 +139,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// lintStream sweeps the archive through the Source API: PVTR files and
-// directory archives stream per rank, pvtt archives are materialized by
-// the source transparently.
-func lintStream(path string, opts lint.Options) (*lint.Result, error) {
+// lintFile sweeps the archive at path through the Source API.
+func lintFile(path string, opts lint.Options) (*lint.Result, error) {
 	st, err := perfvar.FileSource(path).Open(context.Background())
 	if err != nil {
 		return nil, err
 	}
 	defer st.Close()
 	return lint.RunSource(context.Background(), st, opts)
-}
-
-// loadRaw reads an archive without validating it.
-func loadRaw(path string) (*trace.Trace, error) {
-	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		return trace.ReadDir(path)
-	}
-	return trace.ReadAnyFile(path)
 }
 
 func saveTrace(path string, tr *trace.Trace) error {

@@ -184,7 +184,7 @@ func formatProfileGolden(t *testing.T, tr *Trace) []byte {
 			rp.Region, tr.Region(rp.Region).Name, rp.Count, rp.SumInclusive, rp.SumExclusive,
 			rp.MaxInclusive, rp.MinInclusive, rp.Ranks)
 	}
-	tree, err := BuildCallTree(tr)
+	tree, err := CallTreeSource(context.Background(), TraceSource(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestFig1InclusiveExclusive(t *testing.T) {
 	if got := p.Regions[bar].SumExclusive; got != 2 {
 		t.Errorf("bar exclusive = %d, want 2", got)
 	}
-	tree, err := CallTreeOf(tr)
+	tree, err := CallTreeOf(tr.Regions, tr.NumRanks(), tr.StreamRank)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestReplayInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		tree, err := CallTreeOf(tr)
+		tree, err := CallTreeOf(tr.Regions, tr.NumRanks(), tr.StreamRank)
 		if err != nil {
 			return false
 		}

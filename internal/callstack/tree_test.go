@@ -10,7 +10,7 @@ import (
 
 func TestCallTreeFig2(t *testing.T) {
 	tr := workloads.Fig2Trace()
-	tree, err := CallTreeOf(tr)
+	tree, err := CallTreeOf(tr.Regions, tr.NumRanks(), tr.StreamRank)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestCallTreeContextSensitivity(t *testing.T) {
 	tr.Append(0, trace.Enter(6, h))
 	tr.Append(0, trace.Leave(10, h))
 	tr.Append(0, trace.Leave(11, g))
-	tree, err := CallTreeOf(tr)
+	tree, err := CallTreeOf(tr.Regions, tr.NumRanks(), tr.StreamRank)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,8 @@ func TestCallTreeContextSensitivity(t *testing.T) {
 }
 
 func TestCallTreePrint(t *testing.T) {
-	tree, err := CallTreeOf(workloads.Fig2Trace())
+	fig2 := workloads.Fig2Trace()
+	tree, err := CallTreeOf(fig2.Regions, fig2.NumRanks(), fig2.StreamRank)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,8 @@ func TestCallTreePrint(t *testing.T) {
 }
 
 func TestCallTreeWalkOrder(t *testing.T) {
-	tree, err := CallTreeOf(workloads.Fig2Trace())
+	fig2 := workloads.Fig2Trace()
+	tree, err := CallTreeOf(fig2.Regions, fig2.NumRanks(), fig2.StreamRank)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestCallTreeErrorPropagation(t *testing.T) {
 	tr := trace.New("bad", 1)
 	f := tr.AddRegion("f", trace.ParadigmUser, trace.RoleFunction)
 	tr.Append(0, trace.Enter(0, f))
-	if _, err := CallTreeOf(tr); err == nil {
+	if _, err := CallTreeOf(tr.Regions, tr.NumRanks(), tr.StreamRank); err == nil {
 		t.Fatal("broken trace accepted")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"perfvar/internal/causality"
+	"perfvar/internal/clockfix"
 	"perfvar/internal/core/segment"
 	"perfvar/internal/parallel"
 	"perfvar/internal/trace"
@@ -58,12 +59,12 @@ func DependencyGraph(ctx context.Context, src Streams, m *segment.Matrix) (*caus
 	nranks := src.NumRanks()
 	regions := src.Header().Regions
 	scans := make([]*causality.RankScanner, nranks)
-	ops := make([][]opRec, nranks)
+	ops := make([][]clockfix.Op, nranks)
 	err := parallel.ForEachCtx(ctx, nranks, func(rank int) error {
 		scan := causality.NewRankScanner(regions)
 		// Ops accumulate in pooled scratch and are copied out at exact
 		// size, as StreamRun.EndRank does.
-		sp := opScratch.Get().(*[]opRec)
+		sp := opScratch.Get().(*[]clockfix.Op)
 		rops := (*sp)[:0]
 		defer func() {
 			*sp = rops[:0]
@@ -72,7 +73,7 @@ func DependencyGraph(ctx context.Context, src Streams, m *segment.Matrix) (*caus
 		i := 0
 		if err := src.StreamRank(rank, func(ev trace.Event) error {
 			scan.Feed(ev)
-			if op, ok := opRecOf(i, ev); ok {
+			if op, ok := clockfix.OpOf(i, ev); ok {
 				rops = append(rops, op)
 			}
 			i++
@@ -82,7 +83,7 @@ func DependencyGraph(ctx context.Context, src Streams, m *segment.Matrix) (*caus
 		}
 		scans[rank] = scan
 		if len(rops) > 0 {
-			ops[rank] = make([]opRec, len(rops))
+			ops[rank] = make([]clockfix.Op, len(rops))
 			copy(ops[rank], rops)
 		}
 		return nil
@@ -90,7 +91,7 @@ func DependencyGraph(ctx context.Context, src Streams, m *segment.Matrix) (*caus
 	if err != nil {
 		return nil, err
 	}
-	msgs := matchOps(nranks, ops)
+	msgs := clockfix.Match(nranks, ops)
 	return dependencyGraph(ctx, m, scans, &msgs)
 }
 

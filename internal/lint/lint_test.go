@@ -543,7 +543,7 @@ func TestResultJSONRoundTrip(t *testing.T) {
 }
 
 func TestValidateAgreesWithStructuralAnalyzers(t *testing.T) {
-	// Validate and the error-tier analyzers share trace.CheckRank: a
+	// Validate and the error-tier analyzers share trace.StreamChecker: a
 	// trace is Validate-clean if and only if lint finds no structural
 	// error.
 	clean := cleanTrace()

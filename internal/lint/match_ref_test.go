@@ -16,13 +16,13 @@ import (
 // interleaved in event order, self-sends, peers below 0 and at or above
 // nranks, and unequal send/receive counts per channel. Times are drawn
 // from a small range so clock pairs tie on SendTime, Src and Dst.
-func randomOps(rng *rand.Rand) (int, [][]opRec) {
+func randomOps(rng *rand.Rand) (int, [][]clockfix.Op) {
 	nranks := 1 + rng.Intn(64)
 	if rng.Intn(4) == 0 {
 		nranks = 1 + rng.Intn(4)
 	}
 	ntags := rng.Intn(6)
-	ops := make([][]opRec, nranks)
+	ops := make([][]clockfix.Op, nranks)
 	for rank := range ops {
 		if rng.Intn(5) == 0 {
 			continue // a rank with no ops
@@ -50,13 +50,13 @@ func randomOps(rng *rand.Rand) (int, [][]opRec) {
 			if ntags > 0 {
 				tag = int32(rng.Intn(ntags))
 			}
-			ops[rank] = append(ops[rank], opRec{
-				time:  trace.Time(rng.Intn(50)),
-				bytes: int64(rng.Intn(1 << 10)),
-				event: int32(event),
-				peer:  peers[rng.Intn(len(peers))],
-				tag:   tag,
-				recv:  rng.Intn(2) == 0,
+			ops[rank] = append(ops[rank], clockfix.Op{
+				Time:  trace.Time(rng.Intn(50)),
+				Bytes: int64(rng.Intn(1 << 10)),
+				Event: int32(event),
+				Peer:  peers[rng.Intn(len(peers))],
+				Tag:   tag,
+				Recv:  rng.Intn(2) == 0,
 			})
 		}
 	}
@@ -72,7 +72,7 @@ func TestMatchOpsMatchesReferenceProperty(t *testing.T) {
 			defer parallel.SetJobs(parallel.SetJobs(jobs))
 			for seed := int64(0); seed < 300; seed++ {
 				nranks, ops := randomOps(rand.New(rand.NewSource(seed)))
-				got, want := matchOps(nranks, ops), referenceMatchOps(nranks, ops)
+				got, want := clockfix.Match(nranks, ops), referenceMatchOps(nranks, ops)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d (%d ranks): matchOps differs from the reference\ngot  %+v\nwant %+v",
 						seed, nranks, got, want)
@@ -114,20 +114,20 @@ func TestClockPairsMatchReferenceOrder(t *testing.T) {
 	}
 }
 
-// referenceMatchOps is the sort-based matching matchOps replaced, kept
+// referenceMatchOps is the sort-based matching clockfix.Match replaced, kept
 // as the property tests' oracle. It pairs sends and receives per
 // (src, dst, tag) channel in FIFO order over the compact op summaries.
 // Ops addressing out-of-range peers are excluded (the msgmatch
 // structural checks report them).
-func referenceMatchOps(nranks int, ops [][]opRec) Messages {
+func referenceMatchOps(nranks int, ops [][]clockfix.Op) Messages {
 	var msgs Messages
 	var nsend, nrecv int
 	for rank := range ops {
 		for _, op := range ops[rank] {
-			if op.peer < 0 || int(op.peer) >= nranks {
+			if op.Peer < 0 || int(op.Peer) >= nranks {
 				continue
 			}
-			if op.recv {
+			if op.Recv {
 				nrecv++
 			} else {
 				nsend++
@@ -141,11 +141,11 @@ func referenceMatchOps(nranks int, ops [][]opRec) Messages {
 	recvs := make([]int64, 0, nrecv)
 	for rank := range ops {
 		for idx, op := range ops[rank] {
-			if op.peer < 0 || int(op.peer) >= nranks {
+			if op.Peer < 0 || int(op.Peer) >= nranks {
 				continue
 			}
 			h := int64(rank)<<32 | int64(idx)
-			if op.recv {
+			if op.Recv {
 				recvs = append(recvs, h)
 			} else {
 				sends = append(sends, h)
@@ -153,12 +153,12 @@ func referenceMatchOps(nranks int, ops [][]opRec) Messages {
 		}
 	}
 	rankOf := func(h int64) trace.Rank { return trace.Rank(h >> 32) }
-	opOf := func(h int64) *opRec { return &ops[h>>32][h&0xffffffff] }
+	opOf := func(h int64) *clockfix.Op { return &ops[h>>32][h&0xffffffff] }
 	mkRef := func(h int64) MsgRef {
 		op := opOf(h)
 		return MsgRef{
-			Rank: rankOf(h), Event: int(op.event), Time: op.time,
-			Peer: op.peer, Tag: op.tag, Bytes: op.bytes,
+			Rank: rankOf(h), Event: int(op.Event), Time: op.Time,
+			Peer: op.Peer, Tag: op.Tag, Bytes: op.Bytes,
 		}
 	}
 	// A send's channel is (Rank → Peer, Tag), a recv's (Peer → Rank, Tag).
@@ -173,25 +173,25 @@ func referenceMatchOps(nranks int, ops [][]opRec) Messages {
 			return ra < rb
 		}
 		oa, ob := opOf(a), opOf(b)
-		if oa.peer != ob.peer {
-			return oa.peer < ob.peer
+		if oa.Peer != ob.Peer {
+			return oa.Peer < ob.Peer
 		}
-		if oa.tag != ob.tag {
-			return oa.tag < ob.tag
+		if oa.Tag != ob.Tag {
+			return oa.Tag < ob.Tag
 		}
 		return a < b
 	})
 	sortSlice(recvs, func(a, b int64) bool {
 		oa, ob := opOf(a), opOf(b)
-		if oa.peer != ob.peer {
-			return oa.peer < ob.peer
+		if oa.Peer != ob.Peer {
+			return oa.Peer < ob.Peer
 		}
 		ra, rb := rankOf(a), rankOf(b)
 		if ra != rb {
 			return ra < rb
 		}
-		if oa.tag != ob.tag {
-			return oa.tag < ob.tag
+		if oa.Tag != ob.Tag {
+			return oa.Tag < ob.Tag
 		}
 		return a < b
 	})
@@ -200,18 +200,18 @@ func referenceMatchOps(nranks int, ops [][]opRec) Messages {
 	chanCmp := func(s, r int64) int { // send channel vs recv channel
 		so, ro := opOf(s), opOf(r)
 		switch {
-		case rankOf(s) != ro.peer:
-			if rankOf(s) < ro.peer {
+		case rankOf(s) != ro.Peer:
+			if rankOf(s) < ro.Peer {
 				return -1
 			}
 			return 1
-		case so.peer != rankOf(r):
-			if so.peer < rankOf(r) {
+		case so.Peer != rankOf(r):
+			if so.Peer < rankOf(r) {
 				return -1
 			}
 			return 1
-		case so.tag != ro.tag:
-			if so.tag < ro.tag {
+		case so.Tag != ro.Tag:
+			if so.Tag < ro.Tag {
 				return -1
 			}
 			return 1

@@ -1,20 +1,16 @@
 package lint
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"perfvar/internal/causality"
 	"perfvar/internal/clockfix"
 	"perfvar/internal/core/dominant"
 	"perfvar/internal/core/segment"
-	"perfvar/internal/parallel"
 	"perfvar/internal/trace"
 )
 
@@ -104,11 +100,10 @@ func (p *Pass) Messages() *Messages {
 }
 
 // ClockPairs returns the matched send/recv timestamp pairs used by
-// clock-skew analysis, sorted by (SendTime, Src, Dst). They are the
-// Messages pairs: ops addressing out-of-range peers never pair, exactly
-// as in clockfix.MatchOps.
+// clock-skew analysis, sorted by (SendTime, Src, Dst): clockfix.ClockPairs
+// of the Messages facts.
 func (p *Pass) ClockPairs() []clockfix.Pair {
-	p.facts.clockOnce.Do(p.facts.computeClockPairs)
+	p.facts.clockOnce.Do(func() { p.facts.clockPairs = clockfix.ClockPairs(p.Messages()) })
 	return p.facts.clockPairs
 }
 
@@ -177,53 +172,13 @@ type SyncDepth struct {
 	Depth  int16
 }
 
-// MsgRef locates one send or recv event.
-type MsgRef struct {
-	Rank  trace.Rank
-	Event int
-	Time  trace.Time
-	Peer  trace.Rank
-	Tag   int32
-	Bytes int64
-}
-
-// MsgPair is a FIFO-matched send/recv couple.
-type MsgPair struct {
-	Send, Recv MsgRef
-}
-
-// Messages holds the message-matching facts of a trace. Events whose
-// peer rank is undefined are excluded (the structural checks report
-// them).
-type Messages struct {
-	Pairs          []MsgPair
-	UnmatchedSends []MsgRef
-	UnmatchedRecvs []MsgRef
-}
-
-// opRec is the compact summary the driver records per Send/Recv event:
-// enough for message matching, deadlock detection, and clock-skew
-// analysis without retaining the event streams.
-type opRec struct {
-	time  trace.Time
-	bytes int64
-	event int32
-	peer  trace.Rank
-	tag   int32
-	recv  bool
-}
-
-// opRecOf returns the op record of ev, the i-th event of its rank, when
-// ev is a send or receive.
-func opRecOf(i int, ev trace.Event) (opRec, bool) {
-	if ev.Kind != trace.KindSend && ev.Kind != trace.KindRecv {
-		return opRec{}, false
-	}
-	return opRec{
-		recv: ev.Kind == trace.KindRecv, event: int32(i), time: ev.Time,
-		peer: ev.Peer, tag: ev.Tag, bytes: ev.Bytes,
-	}, true
-}
+// MsgRef, MsgPair and Messages are the message-matching facts; the one
+// FIFO matcher lives in clockfix.
+type (
+	MsgRef   = clockfix.MsgRef
+	MsgPair  = clockfix.MsgPair
+	Messages = clockfix.Messages
+)
 
 // facts holds the shared summary facts of one run. The streaming driver
 // fills the per-rank fields as each rank's stream ends and the barrier
@@ -239,7 +194,7 @@ type facts struct {
 	broken     bool
 
 	counts []int
-	ops    [][]opRec
+	ops    [][]clockfix.Op
 
 	zeros     [][]ZeroRegion
 	syncs     [][]SyncDepth
@@ -274,37 +229,7 @@ func (f *facts) regionName(id trace.RegionID) string {
 }
 
 func (f *facts) computeMessages() {
-	f.messages = matchOps(f.nranks, f.ops)
-}
-
-// computeClockPairs derives the clock-check pairs from the message
-// facts instead of re-running a second FIFO matching: ops addressing
-// out-of-range peers sit in channels that can never pair (a real rank's
-// ops never share their channel), so the filtered matching yields the
-// exact pair multiset clockfix.MatchOps would. Only the sort order
-// (SendTime, Src, Dst) is clockfix's own.
-func (f *facts) computeClockPairs() {
-	f.messagesOnce.Do(f.computeMessages)
-	pairs := make([]clockfix.Pair, len(f.messages.Pairs))
-	for i, p := range f.messages.Pairs {
-		pairs[i] = clockfix.Pair{
-			Src: p.Send.Rank, Dst: p.Recv.Rank, Tag: p.Recv.Tag,
-			SendTime: p.Send.Time, RecvTime: p.Recv.Time,
-		}
-	}
-	// slices.SortFunc runs the same pdqsort as sort.Slice, so pairs tied
-	// on the key keep sort.Slice's order (the diagnostics' cut-offs and
-	// clockfix's sweep depend on it), without the indirect swapper.
-	slices.SortFunc(pairs, func(a, b clockfix.Pair) int {
-		if a.SendTime != b.SendTime {
-			return cmp.Compare(a.SendTime, b.SendTime)
-		}
-		if a.Src != b.Src {
-			return cmp.Compare(a.Src, b.Src)
-		}
-		return cmp.Compare(a.Dst, b.Dst)
-	})
-	f.clockPairs = pairs
+	f.messages = clockfix.Match(f.nranks, f.ops)
 }
 
 func (f *facts) computeDeps() {
@@ -324,156 +249,4 @@ func (f *facts) computeDeps() {
 	// Analyzer Finish hooks take no context; the build cannot fail
 	// without one.
 	f.deps, _ = dependencyGraph(context.Background(), f.segments, f.scans, &f.messages)
-}
-
-// matchOps pairs sends and receives per (src, dst, tag) channel in FIFO
-// order over the compact op summaries, one slice per rank (len(ops) is
-// nranks). Ops addressing out-of-range peers are excluded (the msgmatch
-// structural checks report them).
-//
-// A send's channel is (Rank → Peer, Tag), a recv's (Peer → Rank, Tag),
-// so each side of a channel lives on a single rank, in event order. The
-// matching runs in three rank-parallel phases and never sorts globally:
-// each rank indexes its own ops by channel; each receiving rank zips its
-// receive runs with the sender's matching send runs; each rank then
-// writes its pairs and unmatched ops at prefix-sum offsets. Pairs come
-// out in (Recv.Rank, Recv.Event) order and the unmatched lists in
-// (Rank, Event) order.
-func matchOps(nranks int, ops [][]opRec) Messages {
-	valid := func(op *opRec) bool { return op.peer >= 0 && int(op.peer) < nranks }
-	// Every rank's index takes two int32s per op, carved from one
-	// exact-size allocation.
-	base := make([]int, len(ops)+1)
-	for rank, rops := range ops {
-		base[rank+1] = base[rank] + 2*len(rops)
-	}
-	buf := make([]int32, base[len(ops)])
-	idx := make([]chanIndex, len(ops))
-	parallel.Do(len(ops), func(rank int) {
-		idx[rank] = newChanIndex(ops[rank], valid, buf[base[rank]:base[rank+1]])
-	})
-
-	// Zip: per peer, a receiving rank's receives and the peer's sends to
-	// it are both sorted by (tag, position), so one merge pairs the k-th
-	// receive of every channel with its k-th send. Each send is claimed
-	// only by the rank it addresses, so the cross-rank partner writes
-	// never collide.
-	npairs := make([]int, len(ops))
-	sendsMatched := make([]atomic.Int64, len(ops))
-	parallel.Do(len(ops), func(rank int) {
-		rops, ix := ops[rank], &idx[rank]
-		me := trace.Rank(rank)
-		for i := 0; i < len(ix.recvs); {
-			src := rops[ix.recvs[i]].peer
-			sops, sx := ops[src], &idx[src]
-			k, _ := slices.BinarySearchFunc(sx.sends, me, func(s int32, peer trace.Rank) int {
-				return cmp.Compare(sops[s].peer, peer)
-			})
-			m := 0
-			for i < len(ix.recvs) && rops[ix.recvs[i]].peer == src {
-				r := ix.recvs[i]
-				for k < len(sx.sends) && sops[sx.sends[k]].peer == me && sops[sx.sends[k]].tag < rops[r].tag {
-					k++
-				}
-				if k < len(sx.sends) && sops[sx.sends[k]].peer == me && sops[sx.sends[k]].tag == rops[r].tag {
-					s := sx.sends[k]
-					ix.partner[r], sx.partner[s] = s, r
-					k++
-					m++
-				}
-				i++
-			}
-			npairs[rank] += m
-			sendsMatched[src].Add(int64(m))
-		}
-	})
-
-	// Exact-size outputs at prefix-sum offsets.
-	pairOff := make([]int, len(ops)+1)
-	sendOff := make([]int, len(ops)+1)
-	recvOff := make([]int, len(ops)+1)
-	for rank := range ops {
-		pairOff[rank+1] = pairOff[rank] + npairs[rank]
-		sendOff[rank+1] = sendOff[rank] + len(idx[rank].sends) - int(sendsMatched[rank].Load())
-		recvOff[rank+1] = recvOff[rank] + len(idx[rank].recvs) - npairs[rank]
-	}
-	msgs := Messages{Pairs: make([]MsgPair, pairOff[len(ops)])}
-	if n := sendOff[len(ops)]; n > 0 {
-		msgs.UnmatchedSends = make([]MsgRef, n)
-	}
-	if n := recvOff[len(ops)]; n > 0 {
-		msgs.UnmatchedRecvs = make([]MsgRef, n)
-	}
-	parallel.Do(len(ops), func(rank int) {
-		rops, partner := ops[rank], idx[rank].partner
-		p, s, r := pairOff[rank], sendOff[rank], recvOff[rank]
-		for i := range rops {
-			op := &rops[i]
-			if !valid(op) {
-				continue
-			}
-			switch j := partner[i]; {
-			case !op.recv && j < 0:
-				msgs.UnmatchedSends[s] = msgRef(trace.Rank(rank), op)
-				s++
-			case op.recv && j < 0:
-				msgs.UnmatchedRecvs[r] = msgRef(trace.Rank(rank), op)
-				r++
-			case op.recv:
-				msgs.Pairs[p] = MsgPair{
-					Send: msgRef(op.peer, &ops[op.peer][j]),
-					Recv: msgRef(trace.Rank(rank), op),
-				}
-				p++
-			}
-		}
-	})
-	return msgs
-}
-
-// chanIndex is one rank's channel index for matchOps: the positions of
-// its valid sends and receives in the rank's ops, each sorted by
-// (peer, tag, position) so that every channel is one FIFO-ordered run,
-// and each op's partner position in the peer's ops (-1 while unmatched).
-type chanIndex struct {
-	sends, recvs, partner []int32
-}
-
-// newChanIndex indexes rops in buf, which holds two int32s per op.
-func newChanIndex(rops []opRec, valid func(*opRec) bool, buf []int32) chanIndex {
-	partner, pos := buf[:len(rops)], buf[len(rops):]
-	ns, nr := 0, 0
-	for i := range rops {
-		partner[i] = -1
-		switch {
-		case !valid(&rops[i]):
-		case rops[i].recv:
-			nr++
-			pos[len(pos)-nr] = int32(i)
-		default:
-			pos[ns] = int32(i)
-			ns++
-		}
-	}
-	ix := chanIndex{sends: pos[:ns], recvs: pos[len(pos)-nr:], partner: partner}
-	byChannel := func(a, b int32) int {
-		oa, ob := &rops[a], &rops[b]
-		if oa.peer != ob.peer {
-			return cmp.Compare(oa.peer, ob.peer)
-		}
-		if oa.tag != ob.tag {
-			return cmp.Compare(oa.tag, ob.tag)
-		}
-		return cmp.Compare(a, b)
-	}
-	slices.SortFunc(ix.sends, byChannel)
-	slices.SortFunc(ix.recvs, byChannel)
-	return ix
-}
-
-func msgRef(rank trace.Rank, op *opRec) MsgRef {
-	return MsgRef{
-		Rank: rank, Event: int(op.event), Time: op.time,
-		Peer: op.peer, Tag: op.tag, Bytes: op.bytes,
-	}
 }

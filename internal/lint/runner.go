@@ -40,39 +40,23 @@ type Streams interface {
 	StreamRank(rank int, fn func(trace.Event) error) error
 }
 
-// Run executes the analyzers over tr and collects every diagnostic.
-// Analyzers observe the trace through the same streaming drive
-// RunSource uses — tr's per-rank event slices are replayed through the
-// visitors in parallel — so the two entry points share all analyzer
-// logic and produce identical results.
+// Run executes the analyzers over tr and collects every diagnostic. A
+// trace is its own Streams, so Run is RunSource over tr: both entry
+// points share all analyzer logic and produce identical results.
 func Run(tr *trace.Trace, opts Options) *Result {
-	res, _ := RunContext(context.Background(), tr, opts)
+	res, _ := RunSource(context.Background(), tr, opts) // a trace's streams never fail
 	return res
-}
-
-// RunContext is Run observing ctx. Cancellation is checked between
-// analyzers (the per-analyzer passes themselves run to completion), and
-// a cancelled run returns nil with ctx.Err() — partial diagnostics are
-// discarded rather than passed off as a full lint.
-func RunContext(ctx context.Context, tr *trace.Trace, opts Options) (*Result, error) {
-	src := memStreams{tr: tr, header: tr.Header()}
-	return runStreams(ctx, src, opts)
 }
 
 // RunSource executes the analyzers over a source's event streams
 // without materializing the trace: one streaming sweep feeds every
 // analyzer's visitor and the shared summary facts, and a second sweep
 // runs only when segmentation facts are needed. Memory stays
-// O(ranks × (depth + ops)) instead of O(events). The result is
-// identical — byte-identical once serialized — to Run over the
-// materialized trace.
+// O(ranks × (depth + ops)) instead of O(events). Cancellation is checked
+// between ranks and analyzers, and a cancelled run returns nil with
+// ctx.Err() — partial diagnostics are discarded rather than passed off
+// as a full lint.
 func RunSource(ctx context.Context, src Streams, opts Options) (*Result, error) {
-	return runStreams(ctx, src, opts)
-}
-
-// runStreams drives one lint run over per-rank event streams. It is the
-// single execution path behind Run and RunSource.
-func runStreams(ctx context.Context, src Streams, opts Options) (*Result, error) {
 	nranks := src.NumRanks()
 	run := NewStreamRun(src.Header(), nranks, opts)
 	err := parallel.ForEachCtx(ctx, nranks, func(rank int) error {
@@ -113,20 +97,6 @@ func runStreams(ctx context.Context, src Streams, opts Options) (*Result, error)
 		}
 	}
 	return run.Finish(ctx)
-}
-
-// memStreams adapts a materialized trace to the Streams view, so the
-// materialized runner reuses the streaming drive verbatim.
-type memStreams struct {
-	tr     *trace.Trace
-	header *trace.Header
-}
-
-func (m memStreams) Header() *trace.Header { return m.header }
-func (m memStreams) NumRanks() int         { return m.tr.NumRanks() }
-
-func (m memStreams) StreamRank(rank int, fn func(trace.Event) error) error {
-	return m.tr.StreamRank(rank, fn)
 }
 
 func sortNames(names []string) {

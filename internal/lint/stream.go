@@ -7,6 +7,7 @@ import (
 
 	"perfvar/internal/callstack"
 	"perfvar/internal/causality"
+	"perfvar/internal/clockfix"
 	"perfvar/internal/core/dominant"
 	"perfvar/internal/core/segment"
 	"perfvar/internal/parallel"
@@ -17,7 +18,7 @@ import (
 // appended here during its feed phase and copied out at exact size in
 // EndRank, so the append-doubling garbage is paid only while the pool
 // warms up (one buffer per concurrently-fed rank), not once per rank.
-var opScratch = sync.Pool{New: func() any { s := make([]opRec, 0, 512); return &s }}
+var opScratch = sync.Pool{New: func() any { s := make([]clockfix.Op, 0, 512); return &s }}
 
 // StreamRun is the incremental lint driver: it consumes per-rank event
 // streams, maintains the compact summary facts every analyzer consumes,
@@ -94,7 +95,7 @@ func needsOf(analyzers []Analyzer) needs {
 type rankCollector struct {
 	checker   *trace.StreamChecker
 	count     int
-	ops       []opRec
+	ops       []clockfix.Op
 	replay    *callstack.StreamReplay
 	replayErr error
 	zeros     map[trace.RegionID]*ZeroRegion
@@ -131,7 +132,7 @@ func NewStreamRun(h *trace.Header, nranks int, opts Options) *StreamRun {
 	}
 	r := &StreamRun{analyzers: analyzers, opts: opts, facts: f, need: needsOf(analyzers)}
 	if r.need.ops {
-		f.ops = make([][]opRec, nranks)
+		f.ops = make([][]clockfix.Op, nranks)
 	}
 	if r.need.scan {
 		f.scans = make([]*causality.RankScanner, nranks)
@@ -171,9 +172,9 @@ func (r *StreamRun) FeedEvent(rank int, ev trace.Event) {
 	i := c.count
 	c.count++
 	c.checker.Feed(ev)
-	if op, ok := opRecOf(i, ev); ok && r.need.ops {
+	if op, ok := clockfix.OpOf(i, ev); ok && r.need.ops {
 		if c.ops == nil {
-			c.ops = *opScratch.Get().(*[]opRec)
+			c.ops = *opScratch.Get().(*[]clockfix.Op)
 		}
 		c.ops = append(c.ops, op)
 	}
@@ -200,7 +201,7 @@ func (r *StreamRun) EndRank(rank int) {
 	f.structural[rank] = c.checker.Finish()
 	f.counts[rank] = c.count
 	if r.need.ops && c.ops != nil {
-		out := make([]opRec, len(c.ops))
+		out := make([]clockfix.Op, len(c.ops))
 		copy(out, c.ops)
 		f.ops[rank] = out
 		s := c.ops[:0]

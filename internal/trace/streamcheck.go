@@ -2,10 +2,10 @@ package trace
 
 import "fmt"
 
-// StreamChecker is the event-at-a-time form of CheckRank: feed one
-// rank's events in stream order and collect the same recovering
-// structural diagnosis without a materialized trace. CheckRank is a
-// thin loop over a StreamChecker, so the two paths cannot drift.
+// StreamChecker is the one structural checker: feed one rank's events in
+// stream order and collect a recovering structural diagnosis without a
+// materialized trace. Trace.Check, Validate, ValidateStreams and the
+// lint analyzers all feed StreamCheckers, so the paths cannot drift.
 type StreamChecker struct {
 	rank      Rank
 	regions   []Region

@@ -390,13 +390,29 @@ func readAny(r io.Reader, label string) (*Trace, error) {
 	return nil, formatf("%s: unknown archive format (magic %q)", label, magic)
 }
 
-// ReadAnyFile reads a trace archive, auto-detecting the binary PVTR and
-// text pvtt formats by their leading magic bytes.
+// ReadAnyFile reads the trace archive at path without validating it: a
+// binary PVTR or text pvtt file, auto-detected by its leading magic
+// bytes, or a directory archive.
 func ReadAnyFile(path string) (*Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return readAny(f, path)
+	return ReadOpenFile(f)
+}
+
+// ReadOpenFile is ReadAnyFile for an already-opened archive. The
+// file-or-directory decision is made by statting the handle, not the
+// path, so a path swapped between open and stat cannot route the handle
+// to the wrong decoder.
+func ReadOpenFile(f *os.File) (*Trace, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if fi.IsDir() {
+		return ReadDir(f.Name())
+	}
+	return readAny(f, f.Name())
 }

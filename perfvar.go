@@ -28,7 +28,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
@@ -472,10 +471,46 @@ func CorrectClocks(tr *Trace, minLatency int64) (*Trace, ClockInfo, error) {
 	return clockfix.Correct(tr, minLatency)
 }
 
-// BuildCallTree returns the merged calling-context tree of tr — the
-// profiler-style drill-down companion to the timeline views.
-func BuildCallTree(tr *Trace) (*CallTree, error) {
-	return callstack.CallTreeOf(tr)
+// CorrectClocksSource is CorrectClocks for any source: it estimates the
+// per-rank clock offsets from one sweep over src's streams and returns a
+// source that shifts each rank's timestamps as they stream, so nothing
+// is materialized.
+func CorrectClocksSource(ctx context.Context, src Source, minLatency int64) (Source, ClockInfo, error) {
+	st, err := src.Open(ctx)
+	if err != nil {
+		return nil, ClockInfo{}, err
+	}
+	defer st.Close()
+	shifts, info, err := clockfix.CorrectStreams(ctx, st.NumRanks(), st.StreamRank, minLatency)
+	if err != nil {
+		return nil, info, err
+	}
+	return shiftedSource{src: src, shifts: shifts}, info, nil
+}
+
+// ValidateSource checks the structural invariants of src's streams as
+// Trace.Validate does, in one parallel pass. It returns the lowest rank's
+// stream error when a rank fails to decode, otherwise the first
+// violation of the lowest violating rank, or nil.
+func ValidateSource(ctx context.Context, src Source) error {
+	st, err := src.Open(ctx)
+	if err != nil {
+		return err
+	}
+	defer st.Close()
+	return trace.ValidateStreams(st.Header(), st.NumRanks(), st.StreamRank)
+}
+
+// CallTreeSource returns the merged calling-context tree of src's
+// streams — the profiler-style drill-down companion to the timeline
+// views.
+func CallTreeSource(ctx context.Context, src Source) (*CallTree, error) {
+	st, err := src.Open(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	return callstack.CallTreeOf(st.Header().Regions, st.NumRanks(), st.StreamRank)
 }
 
 // FunctionSummary renders the per-region exclusive-time bar chart
@@ -504,29 +539,7 @@ func CounterHeatmap(tr *Trace, metricName string, opts RenderOptions) (*vis.Imag
 // files may be binary PVTR or text pvtt (auto-detected by magic bytes);
 // a directory is read as a multi-file archive (anchor + per-rank files).
 func LoadTrace(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return loadOpenTrace(f, path)
-}
-
-// loadOpenTrace decodes the already-opened archive f. The
-// file-or-directory decision is made by statting the handle, not the
-// path, so a path swapped between open and stat cannot route the handle
-// to the wrong decoder.
-func loadOpenTrace(f *os.File, path string) (*Trace, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	var tr *Trace
-	if fi.IsDir() {
-		tr, err = trace.ReadDir(path)
-	} else {
-		tr, err = trace.ReadAny(f)
-	}
+	tr, err := trace.ReadAnyFile(path)
 	if err != nil {
 		return nil, err
 	}

@@ -306,7 +306,7 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 
 	// Call tree exposes the nesting.
-	tree, err := BuildCallTree(tr)
+	tree, err := CallTreeSource(context.Background(), TraceSource(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,8 +603,8 @@ func TestUndefinedRegionReplayErrors(t *testing.T) {
 		run  func() error
 	}{
 		{"callstack.ProfileOf", func() error { _, err := callstack.ProfileOf(context.Background(), tr); return err }},
-		{"callstack.CallTreeOf", func() error { _, err := callstack.CallTreeOf(tr); return err }},
-		{"BuildCallTree", func() error { _, err := BuildCallTree(tr); return err }},
+		{"callstack.CallTreeOf", func() error { _, err := callstack.CallTreeOf(tr.Regions, tr.NumRanks(), tr.StreamRank); return err }},
+		{"CallTreeSource", func() error { _, err := CallTreeSource(context.Background(), TraceSource(tr)); return err }},
 		{"baseline.RankProfiles", func() error { _, err := baseline.RankProfiles(tr); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -264,8 +264,9 @@ func TestStreamingResultGuards(t *testing.T) {
 }
 
 // TestLoadTraceOpenOnce: the file-or-directory decision must bind to the
-// opened handle. Decoding via loadOpenTrace with the path swapped to a
-// directory after the open must still decode the file's content.
+// opened handle. Decoding via trace.ReadOpenFile, the loader behind
+// LoadTrace, with the path swapped to a directory after the open must
+// still decode the file's content.
 func TestLoadTraceOpenOnce(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.pvt")
@@ -294,7 +295,7 @@ func TestLoadTraceOpenOnce(t *testing.T) {
 	if err := SaveTraceDir(path, other); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadOpenTrace(f, path)
+	got, err := trace.ReadOpenFile(f)
 	if err != nil {
 		t.Fatal(err)
 	}
