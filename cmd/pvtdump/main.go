@@ -41,7 +41,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pvtdump", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		tracePath  = fs.String("trace", "", "input PVTR trace archive (required)")
+		tracePath  = fs.String("trace", "", "input trace: a PVTR or pvtt file, or a directory archive (required)")
 		defs       = fs.Bool("defs", false, "print region and metric definitions")
 		events     = fs.Bool("events", false, "print raw events")
 		rank       = fs.Int("rank", 0, "rank for -events")

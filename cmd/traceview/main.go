@@ -18,7 +18,7 @@ import (
 
 func main() {
 	var (
-		tracePath = flag.String("trace", "", "input PVTR trace archive (required)")
+		tracePath = flag.String("trace", "", "input trace: a PVTR or pvtt file, or a directory archive (required)")
 		view      = flag.String("view", "timeline", "view: timeline, sos, sosindex, counter")
 		metricN   = flag.String("metric", "", "metric name for -view counter")
 		out       = flag.String("o", "", "output image path (.png or .svg)")

@@ -35,7 +35,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("varan", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		tracePath = fs.String("trace", "", "input PVTR trace archive (required)")
+		tracePath = fs.String("trace", "", "input trace: a PVTR or pvtt file, or a directory archive (required)")
 		dominant  = fs.String("dominant", "", "force segmentation at this function")
 		syncPref  = fs.String("sync", "", "comma-separated region-name prefixes treated as synchronization (default: by paradigm)")
 		zthresh   = fs.Float64("z", 0, "hotspot robust z-score threshold (default 3.5)")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"perfvar/internal/callstack"
+	"perfvar/internal/chunk"
 	"perfvar/internal/core/dominant"
 	"perfvar/internal/core/imbalance"
 	"perfvar/internal/core/segment"
@@ -26,6 +27,9 @@ const (
 	EngineMaterialized = "materialized"
 )
 
+// mpiChunks recycles the engine's per-rank MPI-interval lists.
+var mpiChunks chunk.Pool[[2]trace.Time]
+
 // AnalyzeSource runs the full three-step pipeline over src. This is the
 // canonical, context-taking entry point of the pipeline; Analyze and
 // AnalyzeContext are thin TraceSource wrappers over it.
@@ -39,8 +43,13 @@ const (
 // function is selected from the merged profile, the winner's segments
 // are pulled from the candidate sets, the losers are discarded, and the
 // recorded intervals are binned over the now-known global span. Decode
-// buffers and per-rank scratch are pooled, so steady-state allocation
-// is O(ranks × depth + segments), never O(events).
+// buffers, per-rank scratch, and the chunks that hold candidate segments
+// and MPI intervals are pooled; the chunks go back on every return path,
+// once the winner's segments are copied out and the intervals binned,
+// and nothing the result keeps aliases one. So in a process that
+// analyzes more than once, steady-state allocation is O(ranks × depth +
+// the winner's segments): never O(events), and never the segments of
+// the candidates that lost selection.
 //
 // A second decode pass happens only as a fallback: when the winning
 // candidate was evicted because the per-rank segment buffer exceeded
@@ -101,13 +110,28 @@ func AnalyzeSource(ctx context.Context, src Source, opts Options) (*Result, erro
 	type rankPass struct {
 		rep  *callstack.StreamReplay
 		cand *segment.CandidateSet
-		mpi  []trace.Time // maximal MPI intervals as (start, end) pairs
+		mpi  chunk.List[[2]trace.Time] // maximal MPI intervals as (start, end)
 	}
-	parts, err := parallel.MapCtx(ctx, nranks, func(rank int) (*rankPass, error) {
+	parts := make([]*rankPass, nranks)
+	// Every rank's candidate chunks and MPI intervals go back to their
+	// pools on every return path: by then the winner's segments, lint's
+	// adopted ones and the fallback's are copies, and the intervals are
+	// binned.
+	defer func() {
+		for _, p := range parts {
+			if p != nil {
+				p.cand.Release()
+				p.mpi.Release()
+			}
+		}
+	}()
+	err = parallel.ForEachCtx(ctx, nranks, func(rank int) error {
 		p := &rankPass{
 			rep:  callstack.NewStreamReplay(trace.Rank(rank), nregions),
 			cand: segment.NewCandidateSet(trace.Rank(rank), track, syncMask, opts.CandidateSegmentBudget),
+			mpi:  chunk.NewList(&mpiChunks),
 		}
+		parts[rank] = p
 		inMPI := callstack.NewIntervalRecorder(isMPI)
 		feed := func(ev Event) error {
 			if lr != nil {
@@ -123,21 +147,18 @@ func AnalyzeSource(ctx context.Context, src Source, opts Options) (*Result, erro
 			}
 			if bins > 0 {
 				if from, to, ok := inMPI.Feed(ev.Kind, ev.Region, ev.Time); ok {
-					p.mpi = append(p.mpi, from, to)
+					p.mpi.Append([2]trace.Time{from, to})
 				}
 			}
 			return nil
 		}
 		if err := st.StreamRank(rank, feed); err != nil {
-			return nil, err
+			return err
 		}
 		if lr != nil {
 			lr.EndRank(rank)
 		}
-		if err := p.rep.Finish(); err != nil {
-			return nil, err
-		}
-		return p, nil
+		return p.rep.Finish()
 	})
 	if err != nil {
 		if ctx.Err() != nil {
@@ -304,8 +325,10 @@ func AnalyzeSource(ctx context.Context, src Source, opts Options) (*Result, erro
 	if bins > 0 {
 		bn := imbalance.NewBinner(first, last, bins)
 		for _, p := range parts {
-			for i := 0; i+1 < len(p.mpi); i += 2 {
-				bn.AddInterval(p.mpi[i], p.mpi[i+1])
+			for i := 0; i < p.mpi.NumChunks(); i++ {
+				for _, iv := range p.mpi.Chunk(i) {
+					bn.AddInterval(iv[0], iv[1])
+				}
 			}
 		}
 		frac = bn.Fractions(nranks)

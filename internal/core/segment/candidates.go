@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"perfvar/internal/callstack"
+	"perfvar/internal/chunk"
 	"perfvar/internal/trace"
 )
 
@@ -63,16 +64,14 @@ type segRec struct {
 	sync       trace.Duration
 }
 
-// A slot buffers its records in chunks of minChunk, 2×minChunk, …
-// records up to maxChunk, then maxChunk each. A full chunk is left as it
-// is and a new one started, so a record is never copied before Segments
-// builds the caller's slice, and a candidate that is evicted or loses
-// selection costs at most its records plus one partly filled chunk.
-const (
-	minChunk    = 16
-	maxChunk    = 4096
-	chunkGrowth = 8 // minChunk<<chunkGrowth == maxChunk
-)
+// A slot buffers its records in a chunk.List: chunks of 16, 32, … up to
+// 4096 records, then 4096 each, drawn from segChunks. A full chunk is
+// left as it is and a new one started, so a record is never copied
+// before Segments builds the caller's slice, and a candidate that is
+// evicted or loses selection costs at most its records plus one partly
+// filled chunk — and that only until evict or Release hands its chunks
+// back for the next set to fill.
+var segChunks chunk.Pool[segRec]
 
 // CandidateSet segments one rank's event stream at every tracked region
 // at once. Feed events in stream order; after the stream ends, Segments
@@ -86,7 +85,7 @@ type CandidateSet struct {
 	// Segment.Index, or -1 once evicted), and buffered segments.
 	open   []int32
 	count  []int
-	segs   [][][]segRec
+	segs   []chunk.List[segRec]
 	stack  []candFrame
 	events int // events accepted so far, the next event index
 	stored int
@@ -159,7 +158,10 @@ func newCandidateSet(rank trace.Rank, slot []int32, n int, syncMask []bool, budg
 		name:   name,
 	}
 	if emit == nil {
-		c.segs = make([][][]segRec, n)
+		c.segs = make([]chunk.List[segRec], n)
+		for s := range c.segs {
+			c.segs[s] = chunk.NewList(&segChunks)
+		}
 	}
 	return c
 }
@@ -249,17 +251,7 @@ func (c *CandidateSet) emit(r trace.RegionID, slot int32, start, end trace.Time,
 		c.onSeg(r, seg)
 		return
 	}
-	chunks := c.segs[slot]
-	if n := len(chunks); n == 0 || len(chunks[n-1]) == cap(chunks[n-1]) {
-		size := maxChunk
-		if n < chunkGrowth {
-			size = minChunk << n
-		}
-		chunks = append(chunks, make([]segRec, 0, size))
-		c.segs[slot] = chunks
-	}
-	last := &chunks[len(chunks)-1]
-	*last = append(*last, segRec{start: start, end: end, sync: sync})
+	c.segs[slot].Append(segRec{start: start, end: end, sync: sync})
 	c.count[slot]++
 	c.stored++
 	if c.stored > c.budget {
@@ -282,8 +274,22 @@ func (c *CandidateSet) evict() {
 		return
 	}
 	c.stored -= worstLen
-	c.segs[worst] = nil
+	c.segs[worst].Release()
 	c.count[worst] = -1
+}
+
+// Release hands every buffered chunk back for reuse by later sets. Call
+// it once the Segments results the caller needs have been taken: they
+// are copies, so they stay valid. Afterwards the set behaves as if every
+// candidate had been evicted — Segments reports false and further
+// segments are dropped. A set in emit mode buffers nothing, so Release
+// leaves it as it is.
+func (c *CandidateSet) Release() {
+	for s := range c.segs {
+		c.segs[s].Release()
+		c.count[s] = -1
+	}
+	c.stored = 0
 }
 
 // finish ends the stream, failing when a tracked region is still open.
@@ -313,8 +319,9 @@ func (c *CandidateSet) Segments(r trace.RegionID) ([]Segment, bool) {
 		return nil, true
 	}
 	out := make([]Segment, 0, c.count[s])
-	for _, chunk := range c.segs[s] {
-		for _, rec := range chunk {
+	recs := &c.segs[s]
+	for i := 0; i < recs.NumChunks(); i++ {
+		for _, rec := range recs.Chunk(i) {
 			out = append(out, Segment{Rank: c.rank, Index: len(out), Start: rec.start, End: rec.end, Sync: rec.sync})
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"perfvar/internal/callstack"
+	"perfvar/internal/chunk"
 	"perfvar/internal/core/dominant"
 	"perfvar/internal/trace"
 	"perfvar/internal/workloads"
@@ -489,12 +490,12 @@ func TestKernelMatchesReferenceProperty(t *testing.T) {
 }
 
 // TestCandidateStoreChunkEdges fills one tracked region with N segments,
-// N on and around the store's chunk boundaries (minChunk records, its
-// doublings, maxChunk), and checks that Segments rebuilds Compute's
+// N on and around the store's chunk boundaries (chunk.MinLen records, its
+// doublings, chunk.MaxLen), and checks that Segments rebuilds Compute's
 // output field by field.
 func TestCandidateStoreChunkEdges(t *testing.T) {
 	const rank = 2
-	for _, n := range []int{0, 1, minChunk - 1, minChunk, minChunk + 1, maxChunk + 1, 20000} {
+	for _, n := range []int{0, 1, chunk.MinLen - 1, chunk.MinLen, chunk.MinLen + 1, chunk.MaxLen + 1, 20000} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			tr := trace.New("edges", rank+1)
 			dom := tr.AddRegion("dom", trace.ParadigmUser, trace.RoleFunction)
@@ -515,24 +516,36 @@ func TestCandidateStoreChunkEdges(t *testing.T) {
 				t.Fatalf("Compute: %d segments, want %d", len(want), n)
 			}
 			mask := SyncMask(tr.Regions, nil)
-			cs := NewCandidateSet(rank, []bool{true, false}, mask, 0)
-			for _, ev := range tr.Procs[rank].Events {
-				if err := cs.Feed(ev); err != nil {
-					t.Fatal(err)
+			// The second round refills chunks the first one released,
+			// stale records and all; the first round's slice must not move.
+			var first []Segment
+			for round := 0; round < 2; round++ {
+				cs := NewCandidateSet(rank, []bool{true, false}, mask, 0)
+				for _, ev := range tr.Procs[rank].Events {
+					if err := cs.Feed(ev); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			got, ok := cs.Segments(dom)
-			if !ok || len(got) != n {
-				t.Fatalf("Segments: %d segments, ok %t; want %d", len(got), ok, n)
-			}
-			for i, g := range got {
-				w := want[i]
-				t0 := trace.Time(10 * i)
-				if w.Rank != rank || w.Index != i || w.Start != t0 || w.End != t0+7 || w.Sync != 1+trace.Duration(i%3) {
-					t.Fatalf("Compute segment %d = %+v", i, w)
+				got, ok := cs.Segments(dom)
+				if !ok || len(got) != n {
+					t.Fatalf("round %d: Segments: %d segments, ok %t; want %d", round, len(got), ok, n)
 				}
-				if g.Rank != w.Rank || g.Index != w.Index || g.Start != w.Start || g.End != w.End || g.Sync != w.Sync {
-					t.Fatalf("segment %d = %+v, want %+v", i, g, w)
+				cs.Release()
+				if _, ok := cs.Segments(dom); ok {
+					t.Fatalf("round %d: Segments after Release reports ok", round)
+				}
+				if round == 0 {
+					first = got
+				}
+				for i, g := range got {
+					w := want[i]
+					t0 := trace.Time(10 * i)
+					if w.Rank != rank || w.Index != i || w.Start != t0 || w.End != t0+7 || w.Sync != 1+trace.Duration(i%3) {
+						t.Fatalf("Compute segment %d = %+v", i, w)
+					}
+					if g != w || first[i] != w {
+						t.Fatalf("round %d: segment %d = %+v (first round %+v), want %+v", round, i, g, first[i], w)
+					}
 				}
 			}
 		})

@@ -79,8 +79,10 @@ func newStreamSegmenter(rank trace.Rank, region trace.RegionID, syncMask []bool,
 func (s *StreamSegmenter) Feed(ev trace.Event) error { return s.k.Feed(ev) }
 
 // Finish returns the completed segments, failing when the region is
-// still open.
+// still open. Either way it hands the segmenter's buffer chunks back for
+// reuse; the returned slice is a copy and the segmenter is spent.
 func (s *StreamSegmenter) Finish() ([]Segment, error) {
+	defer s.k.Release()
 	if err := s.k.finish(); err != nil {
 		return nil, err
 	}

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -202,13 +200,8 @@ func parseBudget(r *http.Request) (float64, error) {
 
 // readUpload drains a bounded request body.
 func (s *Server) readUpload(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	data, err := io.ReadAll(body)
+	data, err := readBody(w, r, s.cfg.MaxUploadBytes, "upload")
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			err = fmt.Errorf("%w: upload exceeds %d bytes", trace.ErrTooLarge, tooBig.Limit)
-		}
 		return nil, err
 	}
 	if len(data) == 0 {

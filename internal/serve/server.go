@@ -629,13 +629,8 @@ func (s *Server) handleTraceView(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	data, err := io.ReadAll(body)
+	data, err := readBody(w, r, s.cfg.MaxUploadBytes, "upload")
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			err = fmt.Errorf("%w: upload exceeds %d bytes", trace.ErrTooLarge, tooBig.Limit)
-		}
 		s.httpError(w, r, err)
 		return
 	}

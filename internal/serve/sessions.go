@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -28,13 +27,8 @@ const maxSessionCursor = 1 << 30
 // handleSessionCreate opens a session from a JSON CreateRequest and
 // returns the session id plus the server's frame limits.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	data, err := io.ReadAll(body)
+	data, err := readBody(w, r, 1<<20, "session spec")
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			err = fmt.Errorf("%w: session spec exceeds %d bytes", trace.ErrTooLarge, tooBig.Limit)
-		}
 		s.httpError(w, r, err)
 		return
 	}
@@ -86,13 +80,8 @@ func (s *Server) handleSessionFrames(w http.ResponseWriter, r *http.Request) {
 	}
 	// The body holds whole frames; bound it by the session budget plus
 	// framing slack so one request can never buffer unbounded bytes.
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxSessionBytes+(1<<20))
-	data, err := io.ReadAll(body)
+	data, err := readBody(w, r, s.cfg.MaxSessionBytes+(1<<20), "frame batch")
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			err = fmt.Errorf("%w: frame batch exceeds %d bytes", trace.ErrTooLarge, tooBig.Limit)
-		}
 		s.httpError(w, r, err)
 		return
 	}

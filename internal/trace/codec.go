@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/bits"
@@ -96,7 +97,9 @@ var (
 // varints, out-of-range ids, unknown kinds, truncation, window refills —
 // goes to one out-of-line function each (decodeOne, skipOne), which
 // handles a single event with every check, so each error text and
-// offset has exactly one source.
+// offset has exactly one source. Those errors carry no ErrFormat prefix:
+// every caller wraps them in formatf with the rank or frame they belong
+// to, so a public error names ErrFormat exactly once.
 type eventDecoder struct {
 	r       io.Reader // refill source; nil when buf holds the whole block
 	buf     []byte
@@ -199,7 +202,7 @@ func (d *eventDecoder) fail(field string, err error) error {
 	if d.readErr != nil {
 		err = d.readErr
 	}
-	return formatf("event %s at byte %d: %v", field, d.offset(), err)
+	return fmt.Errorf("event %s at byte %d: %v", field, d.offset(), err)
 }
 
 // uvarint reads one unsigned varint from the window. The caller has
@@ -360,7 +363,7 @@ func (d *eventDecoder) decodeOne(ev *Event) error {
 	}
 	kb := d.buf[d.pos]
 	if !knownKind(EventKind(kb)) {
-		return formatf("unknown event kind %d at byte %d", kb, d.offset())
+		return fmt.Errorf("unknown event kind %d at byte %d", kb, d.offset())
 	}
 	d.pos++
 	dt, err := d.uvarint("time")
@@ -376,7 +379,7 @@ func (d *eventDecoder) decodeOne(ev *Event) error {
 			return err
 		}
 		if reg >= d.nregions {
-			return formatf("event region %d out of range at byte %d", reg, d.offset())
+			return fmt.Errorf("event region %d out of range at byte %d", reg, d.offset())
 		}
 		ev.Region = RegionID(reg)
 	case KindMetric:
@@ -385,7 +388,7 @@ func (d *eventDecoder) decodeOne(ev *Event) error {
 			return err
 		}
 		if mid >= d.nmetrics {
-			return formatf("event metric %d out of range at byte %d", mid, d.offset())
+			return fmt.Errorf("event metric %d out of range at byte %d", mid, d.offset())
 		}
 		ev.Metric = MetricID(mid)
 		if d.end-d.pos < 8 {
@@ -399,7 +402,7 @@ func (d *eventDecoder) decodeOne(ev *Event) error {
 			return err
 		}
 		if peer >= d.nprocs {
-			return formatf("event peer %d out of range at byte %d", peer, d.offset())
+			return fmt.Errorf("event peer %d out of range at byte %d", peer, d.offset())
 		}
 		ev.Peer = Rank(peer)
 		tag, n := binary.Varint(d.buf[d.pos:d.end])
@@ -521,11 +524,11 @@ func (d *eventDecoder) skipOne(i uint64, start int64) error {
 		d.refill()
 	}
 	if d.pos >= d.end {
-		return formatf("event %d at byte %d: truncated", i, d.offset()-start)
+		return fmt.Errorf("event %d at byte %d: truncated", i, d.offset()-start)
 	}
 	kind := EventKind(d.buf[d.pos])
 	if !knownKind(kind) {
-		return formatf("event %d at byte %d: unknown event kind %d", i, d.offset()-start, kind)
+		return fmt.Errorf("event %d at byte %d: unknown event kind %d", i, d.offset()-start, kind)
 	}
 	d.pos++
 	// Signed and unsigned varints share the base-128 framing, so one
@@ -534,7 +537,7 @@ func (d *eventDecoder) skipOne(i uint64, start int64) error {
 		for ; k > 0; k-- {
 			_, n := binary.Uvarint(d.buf[d.pos:d.end])
 			if n <= 0 {
-				return formatf("event %d at byte %d: truncated %s", i, d.offset()-start, what)
+				return fmt.Errorf("event %d at byte %d: truncated %s", i, d.offset()-start, what)
 			}
 			d.pos += n
 		}
@@ -551,7 +554,7 @@ func (d *eventDecoder) skipOne(i uint64, start int64) error {
 			return err
 		}
 		if d.end-d.pos < 8 {
-			return formatf("event %d at byte %d: truncated value", i, d.offset()-start)
+			return fmt.Errorf("event %d at byte %d: truncated value", i, d.offset()-start)
 		}
 		d.pos += 8
 		return nil

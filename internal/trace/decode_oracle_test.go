@@ -48,7 +48,7 @@ func (d *eventDecoder) referenceDecode() (Event, error) {
 			return Event{}, err
 		}
 		if reg >= d.nregions {
-			return Event{}, formatf("event region %d out of range at byte %d", reg, d.offset())
+			return Event{}, fmt.Errorf("event region %d out of range at byte %d", reg, d.offset())
 		}
 		ev.Region = RegionID(reg)
 	case KindMetric:
@@ -57,7 +57,7 @@ func (d *eventDecoder) referenceDecode() (Event, error) {
 			return Event{}, err
 		}
 		if mid >= d.nmetrics {
-			return Event{}, formatf("event metric %d out of range at byte %d", mid, d.offset())
+			return Event{}, fmt.Errorf("event metric %d out of range at byte %d", mid, d.offset())
 		}
 		ev.Metric = MetricID(mid)
 		if d.end-d.pos < 8 {
@@ -71,7 +71,7 @@ func (d *eventDecoder) referenceDecode() (Event, error) {
 			return Event{}, err
 		}
 		if peer >= d.nprocs {
-			return Event{}, formatf("event peer %d out of range at byte %d", peer, d.offset())
+			return Event{}, fmt.Errorf("event peer %d out of range at byte %d", peer, d.offset())
 		}
 		ev.Peer = Rank(peer)
 		tag, n := binary.Varint(d.buf[d.pos:d.end])
@@ -89,7 +89,7 @@ func (d *eventDecoder) referenceDecode() (Event, error) {
 		}
 		ev.Bytes = int64(nbytes)
 	default:
-		return Event{}, formatf("unknown event kind %d at byte %d", kb, d.offset())
+		return Event{}, fmt.Errorf("unknown event kind %d at byte %d", kb, d.offset())
 	}
 	return ev, nil
 }
@@ -114,32 +114,32 @@ func referenceSkipEvents(data []byte, n uint64) (int, error) {
 	}
 	for i := uint64(0); i < n; i++ {
 		if off >= len(data) {
-			return 0, formatf("event %d at byte %d: truncated", i, off)
+			return 0, fmt.Errorf("event %d at byte %d: truncated", i, off)
 		}
 		kind := EventKind(data[off])
 		off++
 		if !skipVarint() { // delta timestamp
-			return 0, formatf("event %d at byte %d: truncated time", i, off)
+			return 0, fmt.Errorf("event %d at byte %d: truncated time", i, off)
 		}
 		switch kind {
 		case KindEnter, KindLeave:
 			if !skipVarint() {
-				return 0, formatf("event %d at byte %d: truncated region", i, off)
+				return 0, fmt.Errorf("event %d at byte %d: truncated region", i, off)
 			}
 		case KindMetric:
 			if !skipVarint() {
-				return 0, formatf("event %d at byte %d: truncated metric", i, off)
+				return 0, fmt.Errorf("event %d at byte %d: truncated metric", i, off)
 			}
 			if off+8 > len(data) {
-				return 0, formatf("event %d at byte %d: truncated value", i, off)
+				return 0, fmt.Errorf("event %d at byte %d: truncated value", i, off)
 			}
 			off += 8
 		case KindSend, KindRecv:
 			if !skipVarint() || !skipVarint() || !skipVarint() {
-				return 0, formatf("event %d at byte %d: truncated message", i, off)
+				return 0, fmt.Errorf("event %d at byte %d: truncated message", i, off)
 			}
 		default:
-			return 0, formatf("event %d at byte %d: unknown event kind %d", i, off-1, kind)
+			return 0, fmt.Errorf("event %d at byte %d: unknown event kind %d", i, off-1, kind)
 		}
 	}
 	return off, nil
@@ -152,35 +152,35 @@ func referenceSkipEventsReader(br byteReader, n uint64) error {
 	for i := uint64(0); i < n; i++ {
 		kb, err := br.ReadByte()
 		if err != nil {
-			return formatf("event %d: truncated", i)
+			return fmt.Errorf("event %d: truncated", i)
 		}
 		if _, err := binary.ReadUvarint(br); err != nil { // delta timestamp
-			return formatf("event %d: truncated time", i)
+			return fmt.Errorf("event %d: truncated time", i)
 		}
 		switch EventKind(kb) {
 		case KindEnter, KindLeave:
 			if _, err := binary.ReadUvarint(br); err != nil {
-				return formatf("event %d: truncated region", i)
+				return fmt.Errorf("event %d: truncated region", i)
 			}
 		case KindMetric:
 			if _, err := binary.ReadUvarint(br); err != nil {
-				return formatf("event %d: truncated metric", i)
+				return fmt.Errorf("event %d: truncated metric", i)
 			}
 			if _, err := io.ReadFull(br, fixed[:]); err != nil {
-				return formatf("event %d: truncated value", i)
+				return fmt.Errorf("event %d: truncated value", i)
 			}
 		case KindSend, KindRecv:
 			if _, err := binary.ReadUvarint(br); err != nil {
-				return formatf("event %d: truncated message", i)
+				return fmt.Errorf("event %d: truncated message", i)
 			}
 			if _, err := binary.ReadVarint(br); err != nil {
-				return formatf("event %d: truncated message", i)
+				return fmt.Errorf("event %d: truncated message", i)
 			}
 			if _, err := binary.ReadUvarint(br); err != nil {
-				return formatf("event %d: truncated message", i)
+				return fmt.Errorf("event %d: truncated message", i)
 			}
 		default:
-			return formatf("event %d: unknown event kind %d", i, kb)
+			return fmt.Errorf("event %d: unknown event kind %d", i, kb)
 		}
 	}
 	return nil
@@ -221,7 +221,7 @@ func referenceRun(c decodeCase, dec *eventDecoder) (decodeResult, uint64) {
 			// referenceDecode refills only before its first read, so the
 			// failing event's kind byte is still in the window.
 			if s := int(start - dec.base); s < dec.end && !knownKind(EventKind(dec.buf[s])) {
-				err = formatf("unknown event kind %d at byte %d", dec.buf[s], start)
+				err = fmt.Errorf("unknown event kind %d at byte %d", dec.buf[s], start)
 				dec.pos = s
 			}
 			res.err, res.offset = err.Error(), dec.offset()
@@ -252,7 +252,7 @@ func referenceSkip(data []byte, n uint64) (int, string) {
 	}
 	start, _ := referenceSkipEvents(data, lo)
 	if start < len(data) && !knownKind(EventKind(data[start])) {
-		err = formatf("event %d at byte %d: unknown event kind %d", lo, start, data[start])
+		err = fmt.Errorf("event %d at byte %d: unknown event kind %d", lo, start, data[start])
 	}
 	return 0, err.Error()
 }

@@ -30,7 +30,7 @@ func TestOpenRankStreamsTruncatedLocatesFailure(t *testing.T) {
 	}
 	badKind := append([]byte(nil), good...)
 	badKind[rs.spans[1].off] = 0xEE
-	wantKind := fmt.Sprintf("rank 1 at archive byte %d: %v: event 0 at byte 0: unknown event kind 238", rs.spans[1].off, ErrFormat)
+	wantKind := fmt.Sprintf("%v: rank 1 at archive byte %d: event 0 at byte 0: unknown event kind 238", ErrFormat, rs.spans[1].off)
 	for _, c := range []struct {
 		name, want string
 		data       []byte
@@ -53,6 +53,9 @@ func TestOpenRankStreamsTruncatedLocatesFailure(t *testing.T) {
 				t.Fatalf("%s %s: err = %v, want ErrFormat", c.name, open.name, err)
 			}
 			msg := err.Error()
+			if n := strings.Count(msg, ErrFormat.Error()); n != 1 {
+				t.Fatalf("%s %s: error names ErrFormat %d times: %v", c.name, open.name, n, err)
+			}
 			if !strings.Contains(msg, "rank 1") {
 				t.Fatalf("%s %s: error does not name the failing rank: %v", c.name, open.name, err)
 			}
