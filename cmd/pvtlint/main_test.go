@@ -13,6 +13,7 @@ import (
 	"perfvar/internal/clockfix"
 	"perfvar/internal/lint"
 	"perfvar/internal/trace"
+	"perfvar/internal/trace/tracetest"
 	"perfvar/internal/workloads"
 )
 
@@ -109,6 +110,15 @@ func TestCLIGolden(t *testing.T) {
 		checkGolden(t, in.name+"_json", dir, "-json", in.path)
 		checkGolden(t, in.name+"_text", dir, in.path)
 	}
+	// A version-1 copy of the PVTR input, under the same name in another
+	// directory, gives the same output.
+	v1dir := t.TempDir()
+	v1 := filepath.Join(v1dir, filepath.Base(inputs[3].path))
+	if err := tracetest.WriteV1File(v1, inputs[3].path); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, inputs[3].name+"_json", v1dir, "-json", v1)
+	checkGolden(t, inputs[3].name+"_text", v1dir, v1)
 	checkGolden(t, "truncated", dir, truncatedCopy(t, dir, inputs[3].path))
 	checkGolden(t, "no-trace", dir)
 	checkGolden(t, "missing", dir, filepath.Join(dir, "nosuch.pvtr"))

@@ -12,6 +12,7 @@ import (
 
 	"perfvar/internal/clockfix"
 	"perfvar/internal/trace"
+	"perfvar/internal/trace/tracetest"
 	"perfvar/internal/workloads"
 )
 
@@ -118,6 +119,16 @@ func TestCLIGolden(t *testing.T) {
 		for _, row := range rows {
 			checkGolden(t, in.name+"_"+row.name, dir, append([]string{"-trace", in.path}, row.flags...)...)
 		}
+	}
+	// A version-1 copy of the PVTR input, under the same name in another
+	// directory, gives the same output.
+	v1dir := t.TempDir()
+	v1 := filepath.Join(v1dir, filepath.Base(inputs[3].path))
+	if err := tracetest.WriteV1File(v1, inputs[3].path); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		checkGolden(t, inputs[3].name+"_"+row.name, v1dir, append([]string{"-trace", v1}, row.flags...)...)
 	}
 	checkGolden(t, "truncated", dir, "-trace", truncatedCopy(t, dir, inputs[3].path))
 	checkGolden(t, "no-trace", dir)

@@ -534,8 +534,10 @@ func archiveHeader(t *testing.T, c decodeCase) (*Header, []byte) {
 	if err := WriteFrom(&buf, h, make([]uint64, c.nprocs), func(int, func(Event) error) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	// Drop the zero event counts and the end marker.
-	return h, buf.Bytes()[:buf.Len()-int(c.nprocs)-len(formatEnd)]
+	// A version-1 archive, without the zero event counts and the end
+	// marker: the entry loops below append the blocks and the marker.
+	v1 := pvtrV1(t, buf.Bytes())
+	return h, v1[:len(v1)-int(c.nprocs)-len(formatEnd)]
 }
 
 // checkEntryLoops runs c's block as the last rank of an archive (the

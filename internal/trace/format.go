@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,7 +12,7 @@ import (
 	"perfvar/internal/parallel"
 )
 
-// Binary archive format ("PVTR", version 1):
+// Binary archive format ("PVTR", version 2):
 //
 //	magic "PVTR" | uint32 version
 //	string name
@@ -21,15 +22,40 @@ import (
 //	per proc: uvarint #events, then events with delta-encoded timestamps:
 //	  byte kind | uvarint Δtime | kind-specific payload
 //	magic "ENDT"
+//	rank index: per proc, uint64 little-endian absolute byte offset of
+//	  its #events varint
 //
 // Strings are uvarint length + raw bytes. Timestamps are deltas against the
 // previous event of the same stream, so long iterative traces compress to a
 // few bytes per event.
+//
+// The rank index lets readers find every rank's block without walking
+// the framing of every event first. It is untrusted input like the rest,
+// and accepted only if it is exactly 8·#procs bytes ending the archive,
+// ENDT sits right before it, entry 0 is the end of the definitions, the
+// entries strictly increase, each points at a count varint (at most
+// maxEvents, at least minEventEncodedLen bytes per event) that fits
+// before the next entry, and the last block ends at ENDT. The blocks
+// between the entries tile the archive, and each block's decoder must
+// consume its block exactly, so a v2 archive whose every rank has been
+// streamed has had the framing checks of a v1 scan. A broken index is
+// an error, never a reason to fall back: readers run the framing scan
+// only to word the error, reporting a broken framing (a truncated
+// archive) as a version-1 reader would and the index fault otherwise.
+//
+// Version 1 is the same layout without the rank index; readers still
+// take it and locate its blocks by the framing scan. Readers older than
+// version 2 reject version-2 archives ("version 2, want 1").
 
 const (
-	formatMagic   = "PVTR"
-	formatEnd     = "ENDT"
+	formatMagic = "PVTR"
+	formatEnd   = "ENDT"
+	// formatVersion is the version of the pvtt text format and the
+	// directory archive anchor, and of unindexed PVTR archives.
 	formatVersion = 1
+	// pvtrVersion is the PVTR version the writer produces: the
+	// version-1 layout followed by the rank index.
+	pvtrVersion = 2
 
 	// Hard caps guard the reader against corrupt or hostile inputs.
 	maxDefs      = 1 << 20
@@ -107,12 +133,14 @@ func Write(w io.Writer, tr *Trace) error {
 // generator can write archives far larger than RAM
 // (workloads.SyntheticConfig.WriteArchive). gen must emit exactly the
 // declared count: the count prefixes the block, and a mismatch would
-// corrupt the framing, so WriteFrom rejects it.
+// corrupt the framing, so WriteFrom rejects it. The rank index is built
+// from the bytes counted on their way to w, so w need not seek.
 func WriteFrom(w io.Writer, h *Header, counts []uint64, gen func(rank int, emit func(Event) error) error) error {
 	if len(counts) != len(h.Procs) {
 		return formatf("WriteFrom: %d event counts for %d procs", len(counts), len(h.Procs))
 	}
-	bw := bufio.NewWriterSize(w, 1<<16)
+	cw := &countingWriter{w: w}
+	bw := bufio.NewWriterSize(cw, 1<<16)
 	var scratch [binary.MaxVarintLen64]byte
 
 	putUvarint := func(v uint64) {
@@ -125,7 +153,7 @@ func WriteFrom(w io.Writer, h *Header, counts []uint64, gen func(rank int, emit 
 	}
 
 	bw.WriteString(formatMagic)
-	binary.Write(bw, binary.LittleEndian, uint32(formatVersion))
+	binary.Write(bw, binary.LittleEndian, uint32(pvtrVersion))
 	putString(h.Name)
 
 	putUvarint(uint64(len(h.Regions)))
@@ -145,7 +173,9 @@ func WriteFrom(w io.Writer, h *Header, counts []uint64, gen func(rank int, emit 
 		putString(h.Procs[i].Name)
 	}
 
+	index := make([]byte, 0, 8*len(h.Procs))
 	for rank := range h.Procs {
+		index = binary.LittleEndian.AppendUint64(index, uint64(cw.n)+uint64(bw.Buffered()))
 		putUvarint(counts[rank])
 		enc := newEventEncoder(bw)
 		var emitted uint64
@@ -167,7 +197,21 @@ func WriteFrom(w io.Writer, h *Header, counts []uint64, gen func(rank int, emit 
 		}
 	}
 	bw.WriteString(formatEnd)
+	bw.Write(index)
 	return bw.Flush()
+}
+
+// countingWriter counts the bytes written through it: what WriteFrom
+// has flushed, to which the bytes still buffered add the archive offset.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // Read decodes a PVTR archive from r with no size cap. Use ReadLimit for
@@ -191,163 +235,45 @@ func ReadLimit(r io.Reader, limit int64) (*Trace, error) {
 	return tr, err
 }
 
+// readArchive slurps the archive and decodes its rank blocks in
+// parallel, located by locateBlocks. A framing failure in a version-1
+// archive stops the scan, but the complete blocks before it still
+// decode: a decode error on a lower rank outranks the scan error, so the
+// reported failure is the same one a serial pass would hit first.
 func readArchive(r io.Reader) (*Trace, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-
-	readUvarint := func() (uint64, error) { return binary.ReadUvarint(br) }
-	readString := func() (string, error) {
-		n, err := readUvarint()
-		if err != nil {
-			return "", err
-		}
-		if n > maxStringLen {
-			return "", formatf("string length %d exceeds limit", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, formatf("reading magic: %v", err)
-	}
-	if string(magic[:]) != formatMagic {
-		return nil, formatf("magic %q, want %q", magic[:], formatMagic)
-	}
-	var version uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, formatf("reading version: %v", err)
-	}
-	if version != formatVersion {
-		return nil, formatf("version %d, want %d", version, formatVersion)
-	}
-
-	name, err := readString()
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, formatf("reading name: %v", err)
+		return nil, formatf("reading archive: %v", err)
 	}
-
-	nregions, err := readUvarint()
-	if err != nil || nregions > maxDefs {
-		return nil, formatf("region count: n=%d err=%v", nregions, err)
-	}
-	var regions []Region
-	if nregions > 0 {
-		regions = make([]Region, nregions)
-	}
-	for i := range regions {
-		rname, err := readString()
-		if err != nil {
-			return nil, formatf("region %d name: %v", i, err)
-		}
-		pb, err := br.ReadByte()
-		if err != nil {
-			return nil, formatf("region %d paradigm: %v", i, err)
-		}
-		rb, err := br.ReadByte()
-		if err != nil {
-			return nil, formatf("region %d role: %v", i, err)
-		}
-		regions[i] = Region{ID: RegionID(i), Name: rname, Paradigm: Paradigm(pb), Role: RegionRole(rb)}
-	}
-
-	nmetrics, err := readUvarint()
-	if err != nil || nmetrics > maxDefs {
-		return nil, formatf("metric count: n=%d err=%v", nmetrics, err)
-	}
-	var metrics []Metric
-	if nmetrics > 0 {
-		metrics = make([]Metric, nmetrics)
-	}
-	for i := range metrics {
-		mname, err := readString()
-		if err != nil {
-			return nil, formatf("metric %d name: %v", i, err)
-		}
-		unit, err := readString()
-		if err != nil {
-			return nil, formatf("metric %d unit: %v", i, err)
-		}
-		mb, err := br.ReadByte()
-		if err != nil {
-			return nil, formatf("metric %d mode: %v", i, err)
-		}
-		metrics[i] = Metric{ID: MetricID(i), Name: mname, Unit: unit, Mode: MetricMode(mb)}
-	}
-
-	nprocs, err := readUvarint()
-	if err != nil || nprocs > maxDefs {
-		return nil, formatf("proc count: n=%d err=%v", nprocs, err)
-	}
-	tr := New(name, int(nprocs))
-	tr.Regions = regions
-	tr.Metrics = metrics
-	for i := 0; i < int(nprocs); i++ {
-		pname, err := readString()
-		if err != nil {
-			return nil, formatf("proc %d name: %v", i, err)
-		}
-		tr.Procs[i].Proc.Name = pname
-	}
-
-	// The event streams are varint/delta-encoded with no index, so the
-	// rank-block boundaries are unknown up front. Slurp the remainder and
-	// run a cheap serial framing scan (skipEvents) to locate each rank's
-	// byte span, then decode the independent blocks in parallel. A framing
-	// failure aborts the scan but the complete blocks before it still
-	// decode: a decode error on a lower rank outranks the scan error, so
-	// the reported failure is the same one a serial pass would hit first.
-	rest, err := io.ReadAll(br)
+	dec := newSliceDecoder(data, 0, 0, 0)
+	h, version, err := readHeader(dec)
 	if err != nil {
-		return nil, formatf("reading event streams: %v", err)
+		return nil, err
 	}
-	type block struct {
-		nev  uint64
-		data []byte
-	}
-	blocks := make([]block, 0, int(nprocs))
-	scan := newSliceDecoder(rest, 0, 0, 0)
-	var scanErr error
-	for rank := 0; rank < int(nprocs); rank++ {
-		nev, err := scan.blockCount()
-		if err != nil || nev > maxEvents {
-			scanErr = formatf("rank %d event count: n=%d truncated=%v", rank, nev, err != nil)
-			break
-		}
-		start := scan.pos
-		if err := scan.skip(nev); err != nil {
-			scanErr = formatf("rank %d %v", rank, err)
-			break
-		}
-		blocks = append(blocks, block{nev: nev, data: rest[start:scan.pos]})
-	}
-	decoded, err := parallel.Map(len(blocks), func(rank int) ([]Event, error) {
-		blk := blocks[rank]
-		evs, err := newSliceDecoder(blk.data, nregions, nmetrics, nprocs).decodeAll(blk.nev)
+	spans, locateErr := locateBlocks(dec, version, len(h.Procs), bytes.NewReader(data), int64(len(data)), false)
+	nregions, nmetrics, nprocs := uint64(len(h.Regions)), uint64(len(h.Metrics)), uint64(len(h.Procs))
+	decoded, err := parallel.Map(len(spans), func(rank int) ([]Event, error) {
+		sp := spans[rank]
+		block := data[sp.off : sp.off+sp.len]
+		dec := newSliceDecoder(block, nregions, nmetrics, nprocs)
+		evs, err := dec.decodeAll(sp.nev)
 		if err != nil {
 			return nil, formatf("rank %d event %d: %v", rank, len(evs), err)
+		}
+		if dec.pos != len(block) {
+			return nil, formatf("rank %d: %d bytes after its %d events", rank, len(block)-dec.pos, sp.nev)
 		}
 		return evs, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if scanErr != nil {
-		return nil, scanErr
+	if locateErr != nil {
+		return nil, locateErr
 	}
-	for rank := range blocks {
-		tr.Procs[rank].Events = decoded[rank]
-	}
-
-	off := scan.pos
-	if len(rest)-off < 4 {
-		return nil, formatf("reading end marker: %v", io.ErrUnexpectedEOF)
-	}
-	if got := string(rest[off : off+4]); got != formatEnd {
-		return nil, formatf("end marker %q, want %q", got, formatEnd)
+	tr := &Trace{Name: h.Name, Regions: h.Regions, Metrics: h.Metrics, Procs: make([]ProcessTrace, len(h.Procs))}
+	for rank := range tr.Procs {
+		tr.Procs[rank] = ProcessTrace{Proc: h.Procs[rank], Events: decoded[rank]}
 	}
 	return tr, nil
 }

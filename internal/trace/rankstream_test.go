@@ -17,7 +17,8 @@ func TestOpenRankStreamsTruncatedLocatesFailure(t *testing.T) {
 	if err := Write(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.Bytes()
+	// The framing scan locates the blocks of a version-1 archive.
+	good := pvtrV1(t, buf.Bytes())
 
 	// Cut inside the last rank's event block (the end marker is 4 bytes,
 	// so -6 lands mid-event or mid-count of the final rank), and corrupt
@@ -86,7 +87,7 @@ func TestOpenRankStreamsTruncatedLocatesFailure(t *testing.T) {
 func headerLen(t *testing.T, data []byte) int {
 	t.Helper()
 	r := bytes.NewReader(data)
-	if _, err := readHeader(r); err != nil {
+	if _, _, err := readHeader(r); err != nil {
 		t.Fatal(err)
 	}
 	return len(data) - r.Len()

@@ -26,10 +26,11 @@ type Header struct {
 type StreamFunc func(rank Rank, ev Event) error
 
 // readHeader parses the PVTR preamble — magic, version, and definitions —
-// from br, leaving it positioned at the first rank's event count. It is
-// shared by the one-shot Stream reader and the resumable per-rank stream
-// reader (OpenRankStreams).
-func readHeader(br byteReader) (*Header, error) {
+// from br, leaving it positioned at the first rank's event count, and
+// returns the definitions with the archive's version (1 or 2). It is
+// shared by every PVTR reader: Read, the one-shot Stream reader and the
+// resumable per-rank stream reader (OpenRankStreams).
+func readHeader(br byteReader) (*Header, uint32, error) {
 	readUvarint := func() (uint64, error) { return binary.ReadUvarint(br) }
 	readString := func() (string, error) {
 		n, err := readUvarint()
@@ -53,81 +54,82 @@ func readHeader(br byteReader) (*Header, error) {
 
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, formatf("reading magic: %v", err)
+		return nil, 0, formatf("reading magic: %v", err)
 	}
 	if string(magic[:]) != formatMagic {
-		return nil, formatf("magic %q, want %q", magic[:], formatMagic)
+		return nil, 0, formatf("magic %q, want %q", magic[:], formatMagic)
 	}
 	var version uint32
 	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, formatf("reading version: %v", err)
+		return nil, 0, formatf("reading version: %v", err)
 	}
-	if version != formatVersion {
-		return nil, formatf("version %d, want %d", version, formatVersion)
+	if version != formatVersion && version != pvtrVersion {
+		return nil, 0, formatf("version %d, want %d or %d", version, formatVersion, pvtrVersion)
 	}
 
 	h := &Header{}
 	var err error
 	if h.Name, err = readString(); err != nil {
-		return nil, formatf("reading name: %v", err)
+		return nil, 0, formatf("reading name: %v", err)
 	}
 
 	nregions, err := readUvarint()
 	if err != nil || nregions > maxDefs {
-		return nil, formatf("region count: n=%d err=%v", nregions, err)
+		return nil, 0, formatf("region count: n=%d err=%v", nregions, err)
 	}
 	for i := uint64(0); i < nregions; i++ {
 		name, err := readString()
 		if err != nil {
-			return nil, formatf("region %d name: %v", i, err)
+			return nil, 0, formatf("region %d name: %v", i, err)
 		}
 		pb, err := readByte()
 		if err != nil {
-			return nil, formatf("region %d paradigm: %v", i, err)
+			return nil, 0, formatf("region %d paradigm: %v", i, err)
 		}
 		rb, err := readByte()
 		if err != nil {
-			return nil, formatf("region %d role: %v", i, err)
+			return nil, 0, formatf("region %d role: %v", i, err)
 		}
 		h.Regions = append(h.Regions, Region{ID: RegionID(i), Name: name, Paradigm: Paradigm(pb), Role: RegionRole(rb)})
 	}
 	nmetrics, err := readUvarint()
 	if err != nil || nmetrics > maxDefs {
-		return nil, formatf("metric count: n=%d err=%v", nmetrics, err)
+		return nil, 0, formatf("metric count: n=%d err=%v", nmetrics, err)
 	}
 	for i := uint64(0); i < nmetrics; i++ {
 		name, err := readString()
 		if err != nil {
-			return nil, formatf("metric %d name: %v", i, err)
+			return nil, 0, formatf("metric %d name: %v", i, err)
 		}
 		unit, err := readString()
 		if err != nil {
-			return nil, formatf("metric %d unit: %v", i, err)
+			return nil, 0, formatf("metric %d unit: %v", i, err)
 		}
 		mb, err := readByte()
 		if err != nil {
-			return nil, formatf("metric %d mode: %v", i, err)
+			return nil, 0, formatf("metric %d mode: %v", i, err)
 		}
 		h.Metrics = append(h.Metrics, Metric{ID: MetricID(i), Name: name, Unit: unit, Mode: MetricMode(mb)})
 	}
 	nprocs, err := readUvarint()
 	if err != nil || nprocs > maxDefs {
-		return nil, formatf("proc count: n=%d err=%v", nprocs, err)
+		return nil, 0, formatf("proc count: n=%d err=%v", nprocs, err)
 	}
 	for i := uint64(0); i < nprocs; i++ {
 		name, err := readString()
 		if err != nil {
-			return nil, formatf("proc %d name: %v", i, err)
+			return nil, 0, formatf("proc %d name: %v", i, err)
 		}
 		h.Procs = append(h.Procs, Process{Rank: Rank(i), Name: name})
 	}
-	return h, nil
+	return h, version, nil
 }
 
 // Stream decodes a binary PVTR archive from r without materializing the
 // event slices: definitions are parsed into a Header, then fn is invoked
 // per event. Memory use is O(definitions), independent of trace length —
-// the reader for traces that do not fit in RAM.
+// the reader for traces that do not fit in RAM. A version-2 archive's
+// rank index must name the block starts the stream passed through.
 func Stream(r io.Reader, fn StreamFunc) (*Header, error) {
 	// One windowed decoder spans the whole archive: the definitions and
 	// the inter-block event counts are parsed through the same window
@@ -135,13 +137,18 @@ func Stream(r io.Reader, fn StreamFunc) (*Header, error) {
 	buf := windowPool.Get().(*[]byte)
 	defer windowPool.Put(buf)
 	dec := newStreamDecoder(r, *buf, 0, 0, 0)
-	h, err := readHeader(dec)
+	h, version, err := readHeader(dec)
 	if err != nil {
 		return nil, err
 	}
 	dec.nregions, dec.nmetrics, dec.nprocs = uint64(len(h.Regions)), uint64(len(h.Metrics)), uint64(len(h.Procs))
+	defsEnd := dec.offset()
 	dec.rebase() // error offsets count from the first event count
+	var starts []int64
 	for rank := uint64(0); rank < uint64(len(h.Procs)); rank++ {
+		if version == pvtrVersion {
+			starts = append(starts, defsEnd+dec.offset())
+		}
 		nev, err := dec.blockCount()
 		if err != nil || nev > maxEvents {
 			return nil, formatf("rank %d event count: n=%d err=%v", rank, nev, err)
@@ -168,7 +175,39 @@ func Stream(r io.Reader, fn StreamFunc) (*Header, error) {
 	if string(marker) != formatEnd {
 		return nil, formatf("end marker %q, want %q", marker, formatEnd)
 	}
+	if version == pvtrVersion {
+		dec.pos += len(marker)
+		if err := checkRankIndex(dec, starts); err != nil {
+			return nil, err
+		}
+	}
 	return h, nil
+}
+
+// checkRankIndex reads the rank index of a version-2 archive from dec,
+// positioned right after the end marker, and checks that it holds
+// exactly the block starts (absolute count-varint offsets) the stream
+// passed through and that nothing follows it.
+func checkRankIndex(dec *eventDecoder, starts []int64) error {
+	var entry [8]byte
+	for rank, want := range starts {
+		if _, err := io.ReadFull(dec, entry[:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return formatf("reading rank index entry %d: %v", rank, err)
+		}
+		if got := binary.LittleEndian.Uint64(entry[:]); got != uint64(want) {
+			return formatf("rank index entry %d is byte %d, but rank %d starts at byte %d", rank, got, rank, want)
+		}
+	}
+	if _, err := dec.ReadByte(); err != io.EOF {
+		if err != nil {
+			return formatf("reading past the rank index: %v", err)
+		}
+		return formatf("bytes after the rank index")
+	}
+	return nil
 }
 
 // StreamFile streams the archive at path through fn.
