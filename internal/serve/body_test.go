@@ -120,9 +120,9 @@ func (b shortBody) Read(p []byte) (int, error) {
 func (shortBody) Close() error { return nil }
 
 // TestLyingContentLength declares MaxUploadBytes and sends 1 KiB. The
-// upload must fail, and reading it must allocate no more than one chunk
-// plus the bytes sent: a buffer sized from the declared length would
-// cost the full limit.
+// upload must fail as a truncated request (400 "truncated_body"), and
+// reading it must allocate no more than one chunk plus the bytes sent: a
+// buffer sized from the declared length would cost the full limit.
 func TestLyingContentLength(t *testing.T) {
 	const sent = 1 << 10
 	s := newTestServer(t, Config{}, "", nil)
@@ -133,8 +133,8 @@ func TestLyingContentLength(t *testing.T) {
 	}
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, lying())
-	if rec.Code < 400 {
-		t.Fatalf("status = %d, want a failure", rec.Code)
+	if code, msg := decodeEnvelope(t, rec); rec.Code != http.StatusBadRequest || code != "truncated_body" {
+		t.Fatalf("status %d, code %q, message %q; want 400 truncated_body", rec.Code, code, msg)
 	}
 
 	// Two collections empty the chunk pool, so each read pays for its

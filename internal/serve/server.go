@@ -334,6 +334,8 @@ func (s *Server) httpError(w http.ResponseWriter, r *http.Request, err error) {
 		status, code = http.StatusRequestEntityTooLarge, "too_large"
 	case errors.Is(err, trace.ErrFormat):
 		status, code = http.StatusBadRequest, "bad_archive"
+	case errors.Is(err, errTruncatedBody):
+		status, code = http.StatusBadRequest, "truncated_body"
 	case errors.Is(err, os.ErrNotExist):
 		status, code = http.StatusNotFound, "not_found"
 	case errors.Is(err, errBadParam):
