@@ -8,7 +8,7 @@ import (
 	"perfvar/internal/causality"
 	"perfvar/internal/clockfix"
 	"perfvar/internal/core/segment"
-	"perfvar/internal/parallel"
+	"perfvar/internal/rankpass"
 	"perfvar/internal/trace"
 )
 
@@ -51,47 +51,22 @@ func depsFromUnmatched(msgs *Messages) []causality.RankDep {
 
 // DependencyGraph builds the cross-rank message-dependency graph of
 // src's event streams segmented by m, using the same FIFO message
-// matching the msgmatch analyzer relies on. One parallel sweep over the
-// ranks feeds a causality.RankScanner and collects the op records per
-// rank; the fan-outs stop once ctx is cancelled. It is the standalone
-// entry for callers outside a lint run (the perfvar facade).
+// matching the msgmatch analyzer relies on: the one per-rank pass with
+// only its causality scanners and op records switched on, then the
+// match and the build. The pass stops once ctx is cancelled. It is the
+// standalone entry for callers outside a lint run (the perfvar facade).
 func DependencyGraph(ctx context.Context, src Streams, m *segment.Matrix) (*causality.Graph, error) {
-	nranks := src.NumRanks()
-	regions := src.Header().Regions
-	scans := make([]*causality.RankScanner, nranks)
-	ops := make([][]clockfix.Op, nranks)
-	err := parallel.ForEachCtx(ctx, nranks, func(rank int) error {
-		scan := causality.NewRankScanner(regions)
-		// Ops accumulate in pooled scratch and are copied out at exact
-		// size, as StreamRun.EndRank does.
-		sp := opScratch.Get().(*[]clockfix.Op)
-		rops := (*sp)[:0]
-		defer func() {
-			*sp = rops[:0]
-			opScratch.Put(sp)
-		}()
-		i := 0
-		if err := src.StreamRank(rank, func(ev trace.Event) error {
-			scan.Feed(ev)
-			if op, ok := clockfix.OpOf(i, ev); ok {
-				rops = append(rops, op)
-			}
-			i++
-			return nil
-		}); err != nil {
-			return err
-		}
-		scans[rank] = scan
-		if len(rops) > 0 {
-			ops[rank] = make([]clockfix.Op, len(rops))
-			copy(ops[rank], rops)
-		}
-		return nil
-	})
+	p, err := rankpass.Run(ctx, src, rankpass.Config{Scan: true, Ops: true})
 	if err != nil {
 		return nil, err
 	}
-	msgs := clockfix.Match(nranks, ops)
+	defer p.Release()
+	scans := make([]*causality.RankScanner, len(p.Ranks))
+	ops := make([][]clockfix.Op, len(p.Ranks))
+	for rank, r := range p.Ranks {
+		scans[rank], ops[rank] = r.Scan, r.Ops
+	}
+	msgs := clockfix.Match(len(ops), ops)
 	return dependencyGraph(ctx, m, scans, &msgs)
 }
 

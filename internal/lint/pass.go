@@ -140,9 +140,6 @@ func (p *Pass) Dominant() (dominant.Selection, error) {
 // Segments returns the segment matrix cut at the dominant function, or
 // an error when no dominant function exists.
 func (p *Pass) Segments() (*segment.Matrix, error) {
-	if !p.facts.segDone {
-		return nil, errFactUnavailable
-	}
 	return p.facts.segments, p.facts.segmentsErr
 }
 
@@ -182,9 +179,9 @@ type (
 
 // facts holds the shared summary facts of one run. The streaming driver
 // fills the per-rank fields as each rank's stream ends and the barrier
-// fields (selection, segments) between the two streaming passes; the
-// lazy fields compute on first use. Analyzer Finish hooks run after the
-// barrier, so no locking is needed beyond the sync.Once fields.
+// fields (selection, segments) after the pass; the lazy fields compute
+// on first use. Analyzer Finish hooks run after the barrier, so no
+// locking is needed beyond the sync.Once fields.
 type facts struct {
 	header     *trace.Header
 	nranks     int
@@ -206,7 +203,6 @@ type facts struct {
 	dominantSel dominant.Selection
 	dominantErr error
 
-	segDone     bool
 	segments    *segment.Matrix
 	segmentsErr error
 
@@ -233,10 +229,6 @@ func (f *facts) computeMessages() {
 }
 
 func (f *facts) computeDeps() {
-	if !f.segDone {
-		f.depsErr = errFactUnavailable
-		return
-	}
 	if f.segmentsErr != nil {
 		f.depsErr = f.segmentsErr
 		return

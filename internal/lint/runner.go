@@ -3,7 +3,7 @@ package lint
 import (
 	"context"
 
-	"perfvar/internal/parallel"
+	"perfvar/internal/rankpass"
 	"perfvar/internal/trace"
 )
 
@@ -25,20 +25,12 @@ type Options struct {
 }
 
 // Streams is the per-rank event-stream view a lint run consumes — the
-// lint-local subset of perfvar.SourceStreams, which satisfies it
-// structurally. StreamRank may be called concurrently for different
-// ranks and more than once per rank (the run makes a second pass when
-// segmentation facts are needed and no host engine adopted its
-// segments via AdoptSegments).
-type Streams interface {
-	// Header returns the trace definitions.
-	Header() *trace.Header
-	// NumRanks returns the number of ranks.
-	NumRanks() int
-	// StreamRank replays one rank's events in stream order. A
-	// trace.ErrStopStream return from fn ends the rank without error.
-	StreamRank(rank int, fn func(trace.Event) error) error
-}
+// stream view of the one per-rank pass, which perfvar.SourceStreams
+// satisfies structurally. StreamRank may be called concurrently for
+// different ranks. A run streams each rank once, and a second time only
+// through the pass's fallback: when a rank evicted the dominant
+// function's candidate segments over budget.
+type Streams = rankpass.Streams
 
 // Run executes the analyzers over tr and collects every diagnostic. A
 // trace is its own Streams, so Run is RunSource over tr: both entry
@@ -49,54 +41,27 @@ func Run(tr *trace.Trace, opts Options) *Result {
 }
 
 // RunSource executes the analyzers over a source's event streams
-// without materializing the trace: one streaming sweep feeds every
-// analyzer's visitor and the shared summary facts, and a second sweep
-// runs only when segmentation facts are needed. Memory stays
-// O(ranks × (depth + ops)) instead of O(events). Cancellation is checked
-// between ranks and analyzers, and a cancelled run returns nil with
-// ctx.Err() — partial diagnostics are discarded rather than passed off
-// as a full lint.
+// without materializing the trace. One per-rank pass feeds every
+// analyzer's visitor and the shared summary facts, the dominant
+// function's segments included, so each rank is streamed once; only
+// the pass's eviction fallback streams the ranks again. Memory stays
+// O(ranks × (depth + ops + candidate segments)) instead of O(events).
+// Cancellation is checked between ranks and analyzers, and a cancelled
+// run returns nil with ctx.Err() — partial diagnostics are discarded
+// rather than passed off as a full lint.
 func RunSource(ctx context.Context, src Streams, opts Options) (*Result, error) {
-	nranks := src.NumRanks()
-	run := NewStreamRun(src.Header(), nranks, opts)
-	err := parallel.ForEachCtx(ctx, nranks, func(rank int) error {
-		if err := src.StreamRank(rank, func(ev trace.Event) error {
-			run.FeedEvent(rank, ev)
-			return nil
-		}); err != nil {
-			return err
-		}
-		run.EndRank(rank)
-		return nil
-	})
+	run := NewStreamRun(src.Header(), src.NumRanks(), opts)
+	var cfg rankpass.Config
+	run.Configure(&cfg)
+	p, err := rankpass.Run(ctx, src, cfg)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		return nil, err
 	}
-	if run.BeginSegments() {
-		err := parallel.ForEachCtx(ctx, nranks, func(rank int) error {
-			feeding := true
-			if err := src.StreamRank(rank, func(ev trace.Event) error {
-				if feeding {
-					feeding = run.FeedSegment(rank, ev)
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
-			run.EndSegmentRank(rank)
-			return nil
-		})
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, err
-		}
-	}
-	return run.Finish(ctx)
+	defer p.Release()
+	return run.Finish(ctx, p)
 }
 
 func sortNames(names []string) {

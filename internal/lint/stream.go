@@ -3,7 +3,6 @@ package lint
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"perfvar/internal/callstack"
 	"perfvar/internal/causality"
@@ -11,33 +10,26 @@ import (
 	"perfvar/internal/core/dominant"
 	"perfvar/internal/core/segment"
 	"perfvar/internal/parallel"
+	"perfvar/internal/rankpass"
 	"perfvar/internal/trace"
 )
 
-// opScratch pools per-rank op accumulation buffers. A rank's ops are
-// appended here during its feed phase and copied out at exact size in
-// EndRank, so the append-doubling garbage is paid only while the pool
-// warms up (one buffer per concurrently-fed rank), not once per rank.
-var opScratch = sync.Pool{New: func() any { s := make([]clockfix.Op, 0, 512); return &s }}
-
-// StreamRun is the incremental lint driver: it consumes per-rank event
-// streams, maintains the compact summary facts every analyzer consumes,
-// and feeds the event-visiting analyzers along the way. It is the
-// engine both runner entry points (Run over a materialized trace,
-// RunSource over a Source) share, and the hook AnalyzeSource uses to
-// fuse linting into its decode passes — one decode serves the pipeline
+// StreamRun is the incremental lint driver. It plugs its consumers into
+// the one per-rank pass (internal/rankpass): Configure switches on the
+// pass consumers its analyzers read — replay, candidate segmentation,
+// causality scanning and op records — and adds a per-rank collector
+// that feeds the structural checker, the event visitors and the
+// zero-duration and sync-depth facts. Finish then derives the barrier
+// facts (structural verdict, dominant selection, segments) from the
+// pass and collects the diagnostics. Both runner entry points (Run over
+// a materialized trace, RunSource over a Source) drive it, and so does
+// AnalyzeSource with Options.Lint, whose one pass serves the pipeline
 // and the lint run.
 //
-// Protocol: FeedEvent every event of a rank in stream order, then
-// EndRank once per rank. Ranks may be driven concurrently, but calls
-// for one rank must be sequential. After every rank ended, call
-// BeginSegments; if it returns true, re-stream every rank through
-// FeedSegment/EndSegmentRank (the segmentation pass needs a second look
-// at the events). Finally, Finish collects the diagnostics.
-//
-// Feeding never fails: analyzer errors are recorded and surface as
-// error-severity diagnostics at Finish, so a fused caller's own
-// analysis is never aborted by lint.
+// Feeding never fails: a rank that does not replay keeps streaming for
+// the consumers that do not need a replay, and analyzer errors are
+// recorded and surface as error-severity diagnostics at Finish, so a
+// fused caller's own analysis is never aborted by lint.
 type StreamRun struct {
 	analyzers []Analyzer
 	opts      Options
@@ -49,19 +41,11 @@ type StreamRun struct {
 	eventVis []int // indices into visitors that consume the event feed
 	evIndex  []int // analyzer index -> position in eventVis, or -1
 
-	cols     []*rankCollector
 	visitErr [][]error // [rank][len(eventVis)], allocated on first error
-
-	barrierDone bool
-	segRegion   trace.RegionID
-	segName     string
-	segmenters  []*segment.StreamSegmenter
-	segErr      []error
-	segRes      [][]segment.Segment
 }
 
 // needs lists the summary facts the requested analyzer set consumes, so
-// the driver skips collectors nobody reads. Unknown (external) analyzer
+// the pass runs no consumer nobody reads. Unknown (external) analyzer
 // names enable everything — they may consult any fact.
 type needs struct {
 	ops, replay, scan, sel bool
@@ -89,20 +73,17 @@ func needsOf(analyzers []Analyzer) needs {
 	return n
 }
 
-// rankCollector folds one rank's event stream into that rank's summary
-// facts. All state is rank-local, so collectors run lock-free under the
-// driver's one-goroutine-per-rank contract.
+// rankCollector is the lint run's consumer of one rank's stream in the
+// shared pass. All state is rank-local, so collectors run lock-free
+// under the pass's one-goroutine-per-rank contract.
 type rankCollector struct {
-	checker   *trace.StreamChecker
-	count     int
-	ops       []clockfix.Op
-	replay    *callstack.StreamReplay
-	replayErr error
-	zeros     map[trace.RegionID]*ZeroRegion
-	syncs     []SyncDepth
-	syncSeen  map[SyncDepth]bool
-	scan      *causality.RankScanner
-	_         cacheLinePad
+	run      *StreamRun
+	rank     int
+	pass     *rankpass.Rank
+	checker  *trace.StreamChecker
+	zeros    map[trace.RegionID]*ZeroRegion
+	syncs    []SyncDepth
+	syncSeen map[SyncDepth]bool
 }
 
 // cacheLinePad ends per-rank state that a worker updates on every event
@@ -151,39 +132,45 @@ func NewStreamRun(h *trace.Header, nranks int, opts Options) *StreamRun {
 			r.eventVis = append(r.eventVis, i)
 		}
 	}
-	r.cols = make([]*rankCollector, nranks)
-	for rank := 0; rank < nranks; rank++ {
-		c := &rankCollector{checker: trace.NewStreamChecker(trace.Rank(rank), h.Regions, h.Metrics, nranks)}
-		if r.need.replay {
-			c.replay = callstack.NewStreamReplay(trace.Rank(rank), len(h.Regions))
-		}
-		if r.need.scan {
-			c.scan = causality.NewRankScanner(h.Regions)
-		}
-		r.cols[rank] = c
-	}
 	r.visitErr = make([][]error, nranks)
 	return r
 }
 
-// FeedEvent consumes one event of one rank's stream.
-func (r *StreamRun) FeedEvent(rank int, ev trace.Event) {
-	c := r.cols[rank]
-	i := c.count
-	c.count++
-	c.checker.Feed(ev)
-	if op, ok := clockfix.OpOf(i, ev); ok && r.need.ops {
-		if c.ops == nil {
-			c.ops = *opScratch.Get().(*[]clockfix.Op)
+// Configure switches on the pass consumers the run's analyzers read and
+// plugs the run's per-rank collector into cfg. Consumers cfg already has
+// stay on. When selection is needed and cfg segments nowhere yet, the
+// pass segments at every user-paradigm region under the default sync
+// mask, where the dominant selection can land.
+func (r *StreamRun) Configure(cfg *rankpass.Config) {
+	cfg.Replay = cfg.Replay || r.need.replay
+	cfg.Scan = cfg.Scan || r.need.scan
+	cfg.Ops = cfg.Ops || r.need.ops
+	if r.need.sel && cfg.Track == nil {
+		regions := r.facts.header.Regions
+		cfg.SyncMask = segment.SyncMask(regions, nil)
+		cfg.Track = make([]bool, len(regions))
+		for i, reg := range regions {
+			cfg.Track[i] = reg.Paradigm == trace.ParadigmUser && !cfg.SyncMask[i]
 		}
-		c.ops = append(c.ops, op)
 	}
-	if c.replay != nil && c.replayErr == nil {
-		c.feedReplay(r.facts.header.Regions, ev)
+	h := r.facts.header
+	cfg.Hook = func(rank int, pr *rankpass.Rank) rankpass.Hook {
+		return &rankCollector{
+			run: r, rank: rank, pass: pr,
+			checker: trace.NewStreamChecker(trace.Rank(rank), h.Regions, h.Metrics, r.facts.nranks),
+		}
 	}
-	if c.scan != nil {
-		c.scan.Feed(ev)
+}
+
+// Feed consumes one event of the collector's rank, before the pass's
+// replay does.
+func (c *rankCollector) Feed(ev trace.Event) {
+	r := c.run
+	c.checker.Feed(ev)
+	if r.need.replay && c.pass.ReplayErr == nil {
+		c.stackFacts(r.facts.header.Regions, ev)
 	}
+	rank := c.rank
 	for vi, ai := range r.eventVis {
 		if errs := r.visitErr[rank]; errs != nil && errs[vi] != nil {
 			continue
@@ -194,30 +181,21 @@ func (r *StreamRun) FeedEvent(rank int, ev trace.Event) {
 	}
 }
 
-// EndRank seals one rank's stream, publishing its summary facts.
-func (r *StreamRun) EndRank(rank int) {
-	c := r.cols[rank]
-	f := r.facts
+// End seals the collector's rank, publishing its summary facts.
+func (c *rankCollector) End() {
+	r, f, rank := c.run, c.run.facts, c.rank
 	f.structural[rank] = c.checker.Finish()
-	f.counts[rank] = c.count
-	if r.need.ops && c.ops != nil {
-		out := make([]clockfix.Op, len(c.ops))
-		copy(out, c.ops)
-		f.ops[rank] = out
-		s := c.ops[:0]
-		c.ops = nil
-		opScratch.Put(&s)
+	f.counts[rank] = c.pass.Events
+	if r.need.ops {
+		f.ops[rank] = c.pass.Ops
 	}
-	if c.replay != nil {
-		if c.replayErr == nil {
-			c.replayErr = c.replay.Finish()
-		}
+	if r.need.replay {
 		f.zeros[rank] = c.zeroRegions()
 		f.syncs[rank] = c.syncs
-		f.replayErr[rank] = c.replayErr
+		f.replayErr[rank] = c.pass.ReplayErr
 	}
-	if c.scan != nil {
-		f.scans[rank] = c.scan
+	if r.need.scan {
+		f.scans[rank] = c.pass.Scan
 	}
 	for vi, ai := range r.eventVis {
 		if errs := r.visitErr[rank]; errs != nil && errs[vi] != nil {
@@ -236,21 +214,14 @@ func (r *StreamRun) recordVisitErr(rank, vi int, err error) {
 	r.visitErr[rank][vi] = err
 }
 
-// BeginSegments computes the barrier facts (structural verdict,
-// dominant selection, segmentation setup) and reports whether the
-// caller must re-stream every rank through FeedSegment/EndSegmentRank
-// before Finish. Call it exactly once, after every rank's EndRank.
-func (r *StreamRun) BeginSegments() bool {
-	r.computeBarrier()
-	return r.segmenters != nil
-}
-
-func (r *StreamRun) computeBarrier() {
-	if r.barrierDone {
-		return
-	}
-	r.barrierDone = true
+// barrier derives the facts that need every rank: the structural
+// verdict, the dominant selection, and the segments cut at it. The
+// segments come from the pass's candidate sets, or from its one
+// re-stream when those do not hold them; only a failure of that
+// re-stream is returned.
+func (r *StreamRun) barrier(ctx context.Context, p *rankpass.Pass) error {
 	f := r.facts
+	f.segmentsErr = errFactUnavailable
 scanBroken:
 	for _, issues := range f.structural {
 		for _, is := range issues {
@@ -261,131 +232,54 @@ scanBroken:
 		}
 	}
 	if !r.need.sel || f.broken {
-		return
+		return nil
 	}
 	f.selDone = true
-	for _, c := range r.cols {
-		if c.replayErr != nil {
+	for _, err := range f.replayErr {
+		if err != nil {
 			// Replay failures surface as selection errors, exactly as on
 			// dominant.Select's materialized path.
-			f.dominantErr = fmt.Errorf("dominant: %w", c.replayErr)
+			f.dominantErr = fmt.Errorf("dominant: %w", err)
 			break
 		}
 	}
 	if f.dominantErr == nil {
-		reps := make([]*callstack.StreamReplay, f.nranks)
-		for rank, c := range r.cols {
-			reps[rank] = c.replay
-		}
-		prof := callstack.ProfileFromStreams(len(f.header.Regions), reps)
+		prof := callstack.ProfileFromStreams(len(f.header.Regions), p.Replays())
 		f.dominantSel, f.dominantErr = dominant.SelectFromProfileDefs(f.header.Regions, f.nranks, prof, dominant.Options{})
 	}
 	if f.dominantErr != nil {
-		f.segDone = true
 		f.segmentsErr = f.dominantErr
-		return
+		return nil
 	}
-	r.segRegion = f.dominantSel.Dominant.Region
-	mask, err := segment.Prepare(f.header.Regions, r.segRegion, nil)
+	region := f.dominantSel.Dominant.Region
+	mask, err := segment.Prepare(f.header.Regions, region, nil)
 	if err != nil {
-		f.segDone = true
 		f.segmentsErr = err
-		return
+		return nil
 	}
-	r.segName = f.regionName(r.segRegion)
-	r.segmenters = make([]*segment.StreamSegmenter, f.nranks)
-	r.segErr = make([]error, f.nranks)
-	r.segRes = make([][]segment.Segment, f.nranks)
-	for rank := 0; rank < f.nranks; rank++ {
-		r.segmenters[rank] = segment.NewStreamSegmenter(trace.Rank(rank), r.segRegion, r.segName, mask)
-	}
-}
-
-// SegmentTarget reports the region a pending segmentation pass would
-// segment at (under the default synchronization classifier). ok is
-// false when no segmentation pass is pending — call after BeginSegments
-// returned true.
-func (r *StreamRun) SegmentTarget() (trace.RegionID, bool) {
-	if !r.barrierDone || r.segmenters == nil {
-		return 0, false
-	}
-	return r.segRegion, true
-}
-
-// AdoptSegments satisfies a pending segmentation pass with per-rank
-// segments computed elsewhere, sparing the re-stream through
-// FeedSegment/EndSegmentRank. The caller guarantees equivalence: the
-// segments must be exactly what streaming each rank through this run's
-// segmenters would produce — same region (SegmentTarget), default sync
-// classification, and streams whose structural validity the caller has
-// already established. The fused engine adopts its single-pass
-// candidate segments here when its own classifier matches lint's.
-func (r *StreamRun) AdoptSegments(perRank [][]segment.Segment) {
-	if r.segmenters == nil || len(perRank) != len(r.segRes) {
-		return
-	}
-	copy(r.segRes, perRank)
-}
-
-// FeedSegment consumes one event of the second streaming pass. It
-// returns false once the rank's segmenter failed — the caller may stop
-// feeding that rank early (or keep feeding; extra events are ignored).
-func (r *StreamRun) FeedSegment(rank int, ev trace.Event) bool {
-	if r.segErr[rank] != nil {
-		return false
-	}
-	if err := r.segmenters[rank].Feed(ev); err != nil {
-		r.segErr[rank] = err
-		return false
-	}
-	return true
-}
-
-// EndSegmentRank seals one rank of the second streaming pass.
-func (r *StreamRun) EndSegmentRank(rank int) {
-	if r.segErr[rank] != nil {
-		return
-	}
-	segs, err := r.segmenters[rank].Finish()
+	name := f.regionName(region)
+	perRank, err := p.Segments(ctx, region, name, mask)
 	if err != nil {
-		r.segErr[rank] = err
-		return
+		return err
 	}
-	r.segRes[rank] = segs
+	f.segments = &segment.Matrix{Region: region, RegionName: name, PerRank: perRank}
+	f.segmentsErr = nil
+	return nil
 }
 
-func (r *StreamRun) finishSegments() {
-	f := r.facts
-	if f.segDone {
-		return
-	}
-	f.segDone = true
-	if r.segmenters == nil {
-		f.segmentsErr = errFactUnavailable
-		return
-	}
-	for rank := 0; rank < f.nranks; rank++ {
-		if err := r.segErr[rank]; err != nil {
-			// Lowest failing rank wins, matching segment.Compute's
-			// parallel error selection.
-			f.segmentsErr = err
-			return
+// Finish derives the barrier facts from p, the pass the run was
+// configured into, then runs the analyzers' Finish hooks and collects
+// the sorted result. Call it once, before p is released. Cancellation is
+// checked between analyzers; a cancelled run returns nil with ctx.Err()
+// — partial diagnostics are discarded rather than passed off as a full
+// lint.
+func (r *StreamRun) Finish(ctx context.Context, p *rankpass.Pass) (*Result, error) {
+	if err := r.barrier(ctx, p); err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
+		return nil, err
 	}
-	m := &segment.Matrix{Region: r.segRegion, RegionName: r.segName, PerRank: make([][]segment.Segment, f.nranks)}
-	for rank := range r.segRes {
-		m.PerRank[rank] = r.segRes[rank]
-	}
-	f.segments = m
-}
-
-// Finish runs the analyzers' Finish hooks and collects the sorted
-// result. Cancellation is checked between analyzers; a cancelled run
-// returns nil with ctx.Err() — partial diagnostics are discarded rather
-// than passed off as a full lint.
-func (r *StreamRun) Finish(ctx context.Context) (*Result, error) {
-	r.computeBarrier()
-	r.finishSegments()
 
 	res := &Result{TraceName: r.facts.header.Name}
 	for _, a := range r.analyzers {
@@ -408,7 +302,7 @@ func (r *StreamRun) Finish(ctx context.Context) (*Result, error) {
 			order = append(order, i)
 		}
 	}
-	// ForEachAll never skips an analyzer on failure; a failing analyzer
+	// ForEachAllCtx never skips an analyzer on failure; a failing analyzer
 	// is converted into its own diagnostic rather than aborting the run.
 	errs := parallel.ForEachAllCtx(ctx, len(order), func(oi int) error {
 		i := order[oi]
@@ -459,23 +353,24 @@ func (r *StreamRun) feedError(i int) error {
 	return nil
 }
 
-// feedReplay advances the rank's call-stack replay by ev and derives the
-// zero-duration and sync-depth facts from the open frame read before the
-// event: the depth an enter lands at, and the enter time of the
-// invocation a leave closes. A zero-duration invocation is one whose
-// leave time equals its enter time; zero-duration invocations of one
-// region nest only at a single timestamp, so the first one to close has
-// the enter time of the first one entered.
-func (c *rankCollector) feedReplay(regions []trace.Region, ev trace.Event) {
-	depth := c.replay.Depth()
-	_, enter, _, _ := c.replay.Top()
-	if c.replayErr = c.replay.Feed(ev); c.replayErr != nil {
-		return
-	}
+// stackFacts derives the zero-duration and sync-depth facts of ev from
+// the open frame of the rank's replay, read before the pass feeds ev to
+// it: the depth an enter lands at, and the enter time of the invocation
+// a leave closes. A zero-duration invocation is one whose leave time
+// equals its enter time; zero-duration invocations of one region nest
+// only at a single timestamp, so the first one to close has the enter
+// time of the first one entered. An event the replay then rejects may
+// leave a stray fact behind, but a rank that does not replay publishes
+// its replay error, which hides every such fact.
+func (c *rankCollector) stackFacts(regions []trace.Region, ev trace.Event) {
+	rep := c.pass.Replay
 	switch ev.Kind {
 	case trace.KindEnter:
+		if uint(ev.Region) >= uint(len(regions)) {
+			return
+		}
 		if role := regions[ev.Region].Role; role == trace.RoleBarrier || role == trace.RoleCollective {
-			key := SyncDepth{Region: ev.Region, Depth: int16(depth)}
+			key := SyncDepth{Region: ev.Region, Depth: int16(rep.Depth())}
 			if !c.syncSeen[key] {
 				if c.syncSeen == nil {
 					c.syncSeen = make(map[SyncDepth]bool)
@@ -485,7 +380,8 @@ func (c *rankCollector) feedReplay(regions []trace.Region, ev trace.Event) {
 			}
 		}
 	case trace.KindLeave:
-		if ev.Time != enter {
+		_, enter, _, ok := rep.Top()
+		if !ok || ev.Time != enter {
 			return
 		}
 		if z := c.zeros[ev.Region]; z != nil {

@@ -12,7 +12,7 @@
 // of the same stage are therefore byte-identical.
 //
 // Every primitive has a context-aware variant (ForEachCtx, MapCtx,
-// DoCtx, ForEachAllCtx). Cancellation is observed between work items:
+// DoCtx); the collect-all ForEachAllCtx has only that one. Cancellation is observed between work items:
 // once the context is done, no new index is claimed and the fan-out
 // returns ctx.Err(), so a cancelled request stops burning workers as
 // soon as the in-flight items finish. A cancelled fan-out does NOT
@@ -191,16 +191,11 @@ func MapCtx[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, 
 	return out, nil
 }
 
-// ForEachAll runs fn(i) for every i in [0, n) — collect-all semantics:
-// no index is ever skipped, failures do not abort the fan-out. It
-// returns the per-index errors, or nil when every call succeeded.
-func ForEachAll(n int, fn func(i int) error) []error {
-	return ForEachAllCtx(context.Background(), n, fn)
-}
-
-// ForEachAllCtx is ForEachAll observing ctx. Unclaimed indices after
-// cancellation report ctx.Err() in their error slot, so the caller can
-// distinguish "ran and succeeded" from "never ran".
+// ForEachAllCtx runs fn(i) for every i in [0, n) — collect-all
+// semantics: failures do not abort the fan-out. It returns the per-index
+// errors, or nil when every call succeeded. Only ctx stops it: unclaimed
+// indices after cancellation report ctx.Err() in their error slot, so
+// the caller can distinguish "ran and succeeded" from "never ran".
 func ForEachAllCtx(ctx context.Context, n int, fn func(i int) error) []error {
 	if n <= 0 {
 		return nil

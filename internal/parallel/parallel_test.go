@@ -124,7 +124,7 @@ func TestForEachAllCollectsEverything(t *testing.T) {
 	for _, jobs := range []int{1, 5} {
 		prev := SetJobs(jobs)
 		ran := make([]atomic.Bool, 120)
-		errs := ForEachAll(len(ran), func(i int) error {
+		errs := ForEachAllCtx(context.Background(), len(ran), func(i int) error {
 			ran[i].Store(true)
 			if i%3 == 0 {
 				return fmt.Errorf("e%d", i)
@@ -145,7 +145,7 @@ func TestForEachAllCollectsEverything(t *testing.T) {
 }
 
 func TestForEachAllNilWhenClean(t *testing.T) {
-	if errs := ForEachAll(40, func(int) error { return nil }); errs != nil {
+	if errs := ForEachAllCtx(context.Background(), 40, func(int) error { return nil }); errs != nil {
 		t.Fatalf("errs = %v, want nil", errs)
 	}
 }
@@ -172,7 +172,7 @@ func TestEmptyAndTinyFanOuts(t *testing.T) {
 	if err := ForEach(0, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatal(err)
 	}
-	if errs := ForEachAll(0, func(int) error { return errors.New("never") }); errs != nil {
+	if errs := ForEachAllCtx(context.Background(), 0, func(int) error { return errors.New("never") }); errs != nil {
 		t.Fatal(errs)
 	}
 	out, err := Map(1, func(i int) (string, error) { return "one", nil })
@@ -195,7 +195,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 			}
 			return nil
 		})
-		ForEachAll(64, func(i int) error { return errors.New("all fail") })
+		ForEachAllCtx(context.Background(), 64, func(i int) error { return errors.New("all fail") })
 		Map(64, func(i int) (int, error) { return i, nil })
 	}
 	deadline := time.Now().Add(2 * time.Second)

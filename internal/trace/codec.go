@@ -445,13 +445,19 @@ func (d *eventDecoder) decodeEach(n uint64, fn func(Event) error, at func(i uint
 	return nil
 }
 
-// decodeAll decodes n events into a new slice. The upfront allocation is
-// capped, since a corrupt header can declare an absurd count while real
-// events still have to be present byte by byte; the slice grows as
-// append would. On failure the slice holds the events before the
-// failing one.
+// decodeAll decodes n events into a new slice. A decoder that holds its
+// whole block allocates the slice once: n events, or as many as the
+// block's bytes can encode when a corrupt count claims more, so a count
+// proven by the framing scan or bounded by a rank-index entry costs
+// exactly its events. A streaming decoder cannot see its input's length,
+// so it starts at no more than 64 Ki events and grows as append would.
+// On failure the slice holds the events before the failing one.
 func (d *eventDecoder) decodeAll(n uint64) ([]Event, error) {
-	evs := make([]Event, 0, min(n, 1<<16))
+	size := min(n, 1<<16)
+	if d.r == nil {
+		size = min(n, uint64(d.end-d.pos)/minEventEncodedLen)
+	}
+	evs := make([]Event, 0, size)
 	for uint64(len(evs)) < n {
 		if len(evs) == cap(evs) {
 			evs = slices.Grow(evs, 1)
@@ -472,9 +478,11 @@ const varintStops = 0x8080808080808080
 
 // skip advances past n events, validating only their framing — known
 // kinds, intact varints, full fixed-width values; range checks on the
-// decoded values stay in decodeRun. The events are self-delimiting but
-// archives carry no index, so this cheap pass is what locates rank
-// blocks up front for parallel decode and per-rank streaming. Errors
+// decoded values stay in decodeRun. The events are self-delimiting, so
+// this cheap pass is what locates the rank blocks of a version-1
+// archive, which has no rank index, for parallel decode and per-rank
+// streaming; on a version-2 archive it runs only to word a broken
+// index as a version-1 reader would word the framing fault. Errors
 // name the event and its byte offset from where the skip started.
 func (d *eventDecoder) skip(n uint64) error {
 	start := d.offset()

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -280,5 +281,44 @@ func TestReadAnyLimit(t *testing.T) {
 	}
 	if _, err := ReadAny(bytes.NewReader([]byte("NOPE no such format"))); err == nil {
 		t.Fatal("ReadAny accepted garbage")
+	}
+}
+
+// TestReadAllocatesOncePerEvent bounds what Read allocates per event of
+// a large archive: each rank's slice is sized once from its block, so
+// the total stays near one 48-byte Event per event plus the archive
+// bytes read (64 bytes per event on this 3-byte-per-event archive),
+// where growing each slice from a capped start cost about 195.
+// Version-1 archives, located by the framing scan, are held to the same
+// bound.
+func TestReadAllocatesOncePerEvent(t *testing.T) {
+	const ranks, calls = 4, 100_000
+	tr := New("alloc", ranks)
+	f := tr.AddRegion("f", ParadigmUser, RoleFunction)
+	for rank := 0; rank < ranks; rank++ {
+		for i := 0; i < calls; i++ {
+			tr.Append(Rank(rank), Enter(Time(2*i), f))
+			tr.Append(Rank(rank), Leave(Time(2*i+1), f))
+		}
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	events := uint64(tr.NumEvents())
+	for version, data := range map[string][]byte{"v2": buf.Bytes(), "v1": pvtrV1(t, buf.Bytes())} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := Read(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NumEvents() != tr.NumEvents() {
+			t.Fatalf("%s: read %d events, want %d", version, got.NumEvents(), tr.NumEvents())
+		}
+		if perEvent := (after.TotalAlloc - before.TotalAlloc) / events; perEvent > 96 {
+			t.Errorf("%s: Read allocated %d bytes per event, want at most 96", version, perEvent)
+		}
 	}
 }
