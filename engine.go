@@ -30,13 +30,15 @@ const (
 // canonical, context-taking entry point of the pipeline; Analyze and
 // AnalyzeContext are thin TraceSource wrappers over it.
 //
-// The engine streams each rank once through the one per-rank pass
-// (internal/rankpass): a call-stack replay for the flat profile, a
-// multi-region candidate segmenter (segment.CandidateSet) that buffers
-// segments for every possible dominant function at once, and a recorder
-// of the rank's maximal MPI intervals for the MPI-fraction timeline;
-// with Options.Lint the lint run plugs its own consumers into the same
-// pass. After the pass the dominant function is selected from the merged
+// The engine streams each rank once, a decoded run of events at a
+// time, through the one per-rank pass (internal/rankpass): a call-stack
+// replay for the flat profile, a multi-region candidate store
+// (segment.CandidateSet) that buffers segments for every possible
+// dominant function at once, cut from the invocations the replay closes
+// with their sync time measured on the replay's own frames, so each
+// event walks one call stack, and a recorder of the rank's maximal MPI
+// intervals for the MPI-fraction timeline; with Options.Lint the lint
+// run plugs its own consumers into the same pass. After the pass the dominant function is selected from the merged
 // profile, the winner's segments are copied out of the candidate sets,
 // the losers are discarded, and the recorded intervals are binned over
 // the now-known global span. Decode buffers, per-rank scratch, and the

@@ -112,7 +112,7 @@ func ProfileFromStreams(nregions int, parts []*StreamReplay) *Profile {
 				dst.Ranks++
 			}
 		}
-		if sr.any {
+		if sr.events > 0 {
 			p.TotalTime += sr.last - sr.first
 		}
 	}

@@ -18,7 +18,33 @@ type streamFrame struct {
 	region    trace.RegionID
 	enter     trace.Time
 	childTime trace.Duration
+	syncAcc   trace.Duration // completed sync intervals directly above, under the sync mask
 	recursive bool
+}
+
+// Closed is one invocation a leave closed.
+type Closed struct {
+	Region     trace.RegionID
+	Enter, End trace.Time
+	// Sync is the synchronization time inside the invocation under the
+	// replay's sync mask, each wall-clock instant counted once however
+	// deeply sync regions nest.
+	Sync trace.Duration
+	// Recursive is set when another invocation of Region was open when
+	// this one was entered.
+	Recursive bool
+}
+
+// SyncBelow is the rule that turns nested sync regions into sync time,
+// shared by every stack walk that measures it: a frame that closes over
+// [enter, end) hands the frame below it its whole duration when it is a
+// sync frame, since that interval subsumes any sync intervals completed
+// inside it, and otherwise hands on the sync time acc it accumulated.
+func SyncBelow(sync bool, enter, end trace.Time, acc trace.Duration) trace.Duration {
+	if sync {
+		return end - enter
+	}
+	return acc
 }
 
 // scratchPool recycles the per-rank same-region-depth counters, the only
@@ -51,16 +77,19 @@ func putScratch(s []int32) { scratchPool.Put(&s) }
 // Depth and Top describe the open call stack. Read before Feed, they tell
 // a consumer where an enter lands and which invocation a leave closes,
 // which is all the call-tree builder and the linter need beyond the
-// profile.
+// profile. Read after a Feed of a leave, Closed reports the invocation
+// that leave closed, with its synchronization time when the replay was
+// built by NewSyncReplay: the one stack walk from which the per-rank
+// pass cuts segments.
 type StreamReplay struct {
 	rank        trace.Rank
 	part        rankProfile
 	stack       []streamFrame
 	sameDepth   []int32 // open invocations per region (recursion detection)
+	sync        []bool  // per-region sync verdicts, or nil to measure no sync time
 	entered     int64
 	events      int64
 	first, last trace.Time
-	any         bool
 }
 
 // NewStreamReplay returns an accumulator for one rank of a trace with
@@ -73,52 +102,55 @@ func NewStreamReplay(rank trace.Rank, nregions int) *StreamReplay {
 	}
 }
 
+// NewSyncReplay returns an accumulator for one rank whose frames also
+// accumulate synchronization time under syncMask (one verdict per
+// region definition, from segment.SyncMask), so that Closed reports each
+// closed invocation's sync time.
+func NewSyncReplay(rank trace.Rank, syncMask []bool) *StreamReplay {
+	r := NewStreamReplay(rank, len(syncMask))
+	r.sync = syncMask
+	return r
+}
+
 // Feed consumes one event. Non-enter/leave events only advance the
 // rank's observed time span.
-func (r *StreamReplay) Feed(ev trace.Event) error {
-	idx := r.events
-	r.events++
-	if !r.any {
-		r.first = ev.Time
-		r.any = true
+func (r *StreamReplay) Feed(ev trace.Event) error { return r.feed(ev.Kind, ev.Region, ev.Time) }
+
+// feed is Feed on the three fields it reads: Feed inlines into a
+// per-event loop as a call of feed, so the event is not copied.
+func (r *StreamReplay) feed(kind trace.EventKind, region trace.RegionID, t trace.Time) error {
+	if r.events == 0 {
+		r.first = t
 	}
-	r.last = ev.Time
-	switch ev.Kind {
+	r.events++
+	r.last = t
+	switch kind {
 	case trace.KindEnter:
-		if ev.Region < 0 || int(ev.Region) >= len(r.sameDepth) {
-			return fmt.Errorf("callstack: rank %d event %d: undefined region %d", r.rank, idx, ev.Region)
+		n := len(r.stack)
+		if uint(region) >= uint(len(r.sameDepth)) || r.entered >= MaxInvocations || n > MaxDepth {
+			return r.enterError(region)
 		}
-		if r.entered >= MaxInvocations {
-			return &LimitError{Rank: r.rank, What: "invocations", Limit: MaxInvocations}
+		// The frame is stored field by field: a composite literal would
+		// be built on the stack and block-copied, and the wide loads of
+		// that copy stall on the narrow stores just made.
+		if n == cap(r.stack) {
+			r.stack = append(r.stack, streamFrame{})
+		} else {
+			r.stack = r.stack[:n+1]
 		}
-		if len(r.stack) > MaxDepth {
-			return &LimitError{Rank: r.rank, What: "call-stack depth", Limit: MaxDepth}
-		}
-		r.stack = append(r.stack, streamFrame{
-			region:    ev.Region,
-			enter:     ev.Time,
-			recursive: r.sameDepth[ev.Region] > 0,
-		})
-		r.sameDepth[ev.Region]++
+		fr := &r.stack[n]
+		fr.region, fr.enter, fr.childTime, fr.syncAcc = region, t, 0, 0
+		fr.recursive = r.sameDepth[region] > 0
+		r.sameDepth[region]++
 		r.entered++
 	case trace.KindLeave:
-		if ev.Region < 0 || int(ev.Region) >= len(r.sameDepth) {
-			return fmt.Errorf("callstack: rank %d event %d: undefined region %d", r.rank, idx, ev.Region)
+		n := len(r.stack)
+		if uint(region) >= uint(len(r.sameDepth)) || n == 0 || r.stack[n-1].region != region || t < r.stack[n-1].enter {
+			return r.leaveError(region, t)
 		}
-		if len(r.stack) == 0 {
-			return fmt.Errorf("callstack: rank %d event %d: leave without enter", r.rank, idx)
-		}
-		fr := &r.stack[len(r.stack)-1]
-		if fr.region != ev.Region {
-			return fmt.Errorf("callstack: rank %d event %d: leave region %d while inside %d",
-				r.rank, idx, ev.Region, fr.region)
-		}
-		if ev.Time < fr.enter {
-			return fmt.Errorf("callstack: rank %d event %d: leave at %d before enter at %d",
-				r.rank, idx, ev.Time, fr.enter)
-		}
-		incl := ev.Time - fr.enter
-		rp := &r.part.regions[ev.Region]
+		fr := &r.stack[n-1]
+		incl := t - fr.enter
+		rp := &r.part.regions[region]
 		rp.Count++
 		if !fr.recursive {
 			rp.SumInclusive += incl
@@ -130,14 +162,58 @@ func (r *StreamReplay) Feed(ev trace.Event) error {
 		if rp.MinInclusive < 0 || incl < rp.MinInclusive {
 			rp.MinInclusive = incl
 		}
-		r.part.seen[ev.Region] = true
-		r.sameDepth[ev.Region]--
-		r.stack = r.stack[:len(r.stack)-1]
-		if n := len(r.stack); n > 0 {
-			r.stack[n-1].childTime += incl
+		r.part.seen[region] = true
+		r.sameDepth[region]--
+		// The popped frame stays in the stack's backing array, where
+		// Closed reads it until the next enter overwrites it.
+		r.stack = r.stack[:n-1]
+		if n > 1 {
+			below := &r.stack[n-2]
+			below.childTime += incl
+			if r.sync != nil {
+				below.syncAcc += SyncBelow(r.sync[region], fr.enter, t, fr.syncAcc)
+			}
 		}
 	}
 	return nil
+}
+
+// enterError explains why Feed rejected the enter of region it was
+// just fed. Errors are built out of line, so that Feed's accepting path
+// keeps the event in registers.
+func (r *StreamReplay) enterError(region trace.RegionID) error {
+	switch {
+	case region < 0 || int(region) >= len(r.sameDepth):
+		return fmt.Errorf("callstack: rank %d event %d: undefined region %d", r.rank, r.events-1, region)
+	case r.entered >= MaxInvocations:
+		return &LimitError{Rank: r.rank, What: "invocations", Limit: MaxInvocations}
+	default:
+		return &LimitError{Rank: r.rank, What: "call-stack depth", Limit: MaxDepth}
+	}
+}
+
+// leaveError explains why Feed rejected the leave of region at t it
+// was just fed.
+func (r *StreamReplay) leaveError(region trace.RegionID, t trace.Time) error {
+	idx := r.events - 1
+	if region < 0 || int(region) >= len(r.sameDepth) {
+		return fmt.Errorf("callstack: rank %d event %d: undefined region %d", r.rank, idx, region)
+	}
+	if len(r.stack) == 0 {
+		return fmt.Errorf("callstack: rank %d event %d: leave without enter", r.rank, idx)
+	}
+	fr := &r.stack[len(r.stack)-1]
+	if fr.region != region {
+		return fmt.Errorf("callstack: rank %d event %d: leave region %d while inside %d", r.rank, idx, region, fr.region)
+	}
+	return fmt.Errorf("callstack: rank %d event %d: leave at %d before enter at %d", r.rank, idx, t, fr.enter)
+}
+
+// Closed describes the invocation closed by the leave just fed. Call it
+// only right after a Feed of a leave event that returned nil.
+func (r *StreamReplay) Closed() Closed {
+	fr := &r.stack[:len(r.stack)+1][len(r.stack)]
+	return Closed{Region: fr.region, Enter: fr.enter, End: r.last, Sync: fr.syncAcc, Recursive: fr.recursive}
 }
 
 // Finish validates stream balance and releases the pooled scratch. It
@@ -172,5 +248,5 @@ func (r *StreamReplay) Events() int64 { return r.events }
 // Span returns the rank's first and last observed event timestamps; ok is
 // false when no event was fed.
 func (r *StreamReplay) Span() (first, last trace.Time, ok bool) {
-	return r.first, r.last, r.any
+	return r.first, r.last, r.events > 0
 }

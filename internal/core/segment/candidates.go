@@ -22,15 +22,18 @@ import (
 // does the engine fall back to a second pass.
 //
 // One stack walk serves all tracked regions. Each call-stack frame
-// carries a lazily propagated synchronization accumulator: when a
-// sync-classified frame is left, its wall-clock duration is credited to
-// the frame below it; when a non-sync frame is left, whatever it
-// accumulated is both recorded on its own segment (if it is the outermost
-// invocation of a tracked region) and passed further down. A sync frame
-// discards what it accumulated from frames above, because its own
-// duration already covers those intervals. A segment's Sync is therefore
-// the total length of the maximal sync intervals inside it, each
-// wall-clock instant counted once however deeply sync regions nest.
+// carries a lazily propagated synchronization accumulator: when a frame
+// is left, callstack.SyncBelow credits the frame below it with the
+// frame's whole wall-clock duration if it is sync-classified (dropping
+// what bubbled up from above, which that duration already covers), and
+// with what it accumulated otherwise; the outermost invocation of a
+// tracked region records its accumulator on its segment. A segment's
+// Sync is therefore the total length of the maximal sync intervals
+// inside it, each wall-clock instant counted once however deeply sync
+// regions nest. The walk is Feed's own stack for Compute,
+// StreamSegmenter and the online detector; in the per-rank pass it is
+// the call-stack replay's (callstack.NewSyncReplay), whose closed
+// invocations reach the set through Add, so each event walks one stack.
 //
 // Error contract: Feed rejects an undefined region, an enter that would
 // nest deeper than callstack.MaxDepth (the bound StreamReplay enforces, which
@@ -74,9 +77,9 @@ type segRec struct {
 var segChunks chunk.Pool[segRec]
 
 // CandidateSet segments one rank's event stream at every tracked region
-// at once. Feed events in stream order; after the stream ends, Segments
-// returns the completed segment list of any tracked region that stayed
-// within budget.
+// at once. Feed events in stream order, or Add the invocations a replay
+// closes; after the stream ends, Segments returns the completed segment
+// list of any tracked region that stayed within budget.
 type CandidateSet struct {
 	rank trace.Rank
 	sync []bool  // per-region classifier verdicts (SyncMask)
@@ -190,20 +193,11 @@ func (c *CandidateSet) Feed(ev trace.Event) error {
 			return c.leaveError(r)
 		}
 		fr := &c.stack[n-1]
-		if c.sync[r] {
-			// The frame's own wall-clock interval subsumes any sync
-			// intervals completed inside it: credit the full duration
-			// below, discard what bubbled up.
-			if n > 1 {
-				c.stack[n-2].syncAcc += ev.Time - fr.enter
-			}
-		} else {
-			if fr.topLevel {
-				c.emit(r, fr.slot, fr.enter, ev.Time, fr.syncAcc)
-			}
-			if n > 1 {
-				c.stack[n-2].syncAcc += fr.syncAcc
-			}
+		if fr.topLevel && !c.sync[r] {
+			c.emit(r, fr.slot, fr.enter, ev.Time, fr.syncAcc)
+		}
+		if n > 1 {
+			c.stack[n-2].syncAcc += callstack.SyncBelow(c.sync[r], fr.enter, ev.Time, fr.syncAcc)
 		}
 		if fr.slot >= 0 {
 			c.open[fr.slot]--
@@ -212,6 +206,19 @@ func (c *CandidateSet) Feed(ev trace.Event) error {
 	}
 	c.events++
 	return nil
+}
+
+// Add records an invocation closed on a call stack walked elsewhere —
+// the per-rank pass's replay (callstack.NewSyncReplay under this set's
+// sync mask), which has already rejected every event Feed would reject.
+// The set then only buffers, budgets and evicts: it walks no stack of its
+// own, so a set fed through Add must not also be fed events. For a
+// tracked region a replay's Recursive is exactly !topLevel: both say
+// whether another invocation of the region was open at the enter.
+func (c *CandidateSet) Add(inv callstack.Closed) {
+	if s := c.slot[inv.Region]; s >= 0 && !inv.Recursive && !c.sync[inv.Region] {
+		c.emit(inv.Region, s, inv.Enter, inv.End, inv.Sync)
+	}
 }
 
 // leaveError explains a leave that does not close the open frame.

@@ -3,13 +3,16 @@
 // stack, pick the dominant function from the merged profile, cut its
 // segments — and the analysis engine, the lint run and the
 // dependency-graph build each stream a rank through this pass once,
-// switching on the consumers they read (Config). An absent consumer
-// costs a nil check per event.
+// switching on the consumers they read (Config). A rank streams a
+// decoded run of events at a time, and the pass feeds each event of the
+// run to its consumers; an absent consumer costs a nil check per event.
+// The call-stack replay is the pass's only stack walk: the candidate
+// sets cut their segments from the invocations it closes.
 //
-// A replay error is recorded on its rank, and a candidate error drops
-// the rank's candidate segments; either way the rank streams on for the
+// A replay error is recorded on its rank, which streams on for the
 // consumers that need no replay, unless Config.Stop ends it and fails
-// the pass. A stream error always fails the pass.
+// the pass. The candidate sets reject nothing: the replay has rejected
+// every event they would. A stream error always fails the pass.
 // Segments is the one place that streams the ranks a second time: when
 // a rank evicted the region asked for, or the caller's sync mask is not
 // the pass's.
@@ -17,6 +20,7 @@ package rankpass
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sync"
 
@@ -47,18 +51,20 @@ type Config struct {
 	Replay bool
 	// Track selects the regions a segment.CandidateSet per rank segments
 	// at under SyncMask, within Budget records (<= 0: the default); nil
-	// runs none. Candidate sets see only events the replay accepted.
+	// runs none. The sets are fed the invocations the replay closes,
+	// with their sync time under SyncMask, so they need Replay.
 	Track, SyncMask []bool
 	Budget          int
 	// Intervals is the region mask whose maximal intervals every rank
-	// records; nil records none. It too sees only replayed events.
+	// records; nil records none. It sees only replayed events, so it too
+	// needs Replay.
 	Intervals []bool
 	// Scan feeds every rank to a causality.RankScanner.
 	Scan bool
 	// Ops records every rank's send and receive op records.
 	Ops bool
-	// Stop ends a rank at its first replay or candidate error and fails
-	// the pass with it, for a caller with no use for such a rank.
+	// Stop ends a rank at its first replay error and fails the pass
+	// with it, for a caller with no use for such a rank.
 	Stop bool
 	// Hook, when set, returns the caller's own consumer of one rank.
 	Hook func(rank int, r *Rank) Hook
@@ -105,9 +111,55 @@ var intervalChunks chunk.Pool[[2]trace.Time]
 // up (one buffer per concurrently streamed rank), not once per rank.
 var opScratch = sync.Pool{New: func() any { s := make([]clockfix.Op, 0, 512); return &s }}
 
+// runStreams is implemented by streams that hand a rank's events over a
+// decoded run at a time (trace.RankStreams, trace.DirStreams,
+// trace.Trace); a run is valid only during the call.
+type runStreams interface {
+	StreamRuns(rank int, fn func([]trace.Event) error) error
+}
+
+// runLen is the length of the runs streamRuns gathers a per-event
+// source's events into: the archive decoders' run length.
+const runLen = 128
+
+// runBufs pools the run buffers of per-event sources. A run handed to
+// the pass's callback escapes, so a buffer per stream would be a heap
+// allocation per rank.
+var runBufs = sync.Pool{New: func() any { return new([runLen]trace.Event) }}
+
+// streamRuns streams rank of src through fn a run at a time: the
+// source's own runs when it has them, otherwise — a synthetic
+// generator, a clock-shifted or other per-event source — its events
+// gathered into a pooled run, the one adapter at the boundary.
+func streamRuns(src Streams, rank int, fn func([]trace.Event) error) error {
+	if rs, ok := src.(runStreams); ok {
+		return rs.StreamRuns(rank, fn)
+	}
+	buf := runBufs.Get().(*[runLen]trace.Event)
+	defer runBufs.Put(buf)
+	n, stopped := 0, false
+	err := src.StreamRank(rank, func(ev trace.Event) error {
+		buf[n] = ev
+		if n++; n < runLen {
+			return nil
+		}
+		n = 0
+		err := fn(buf[:])
+		stopped = err != nil
+		return err
+	})
+	if err != nil || stopped || n == 0 {
+		return err
+	}
+	if err := fn(buf[:n]); !errors.Is(err, trace.ErrStopStream) {
+		return err
+	}
+	return nil
+}
+
 // Run streams every rank of src once through the consumers cfg selects,
 // on the shared worker pool. It fails with the lowest failing rank's
-// stream error (or, under Config.Stop, its replay or candidate error),
+// stream error (or, under Config.Stop, its replay error),
 // or with ctx.Err(); a failed pass has released its pooled chunks. The
 // caller of a successful pass calls Release once it has taken what it
 // keeps.
@@ -129,7 +181,13 @@ func Run(ctx context.Context, src Streams, cfg Config) (*Pass, error) {
 func (r *Rank) stream(src Streams, rank int, cfg *Config) error {
 	regions := src.Header().Regions
 	if cfg.Replay {
-		r.Replay = callstack.NewStreamReplay(trace.Rank(rank), len(regions))
+		// The candidate sets take their sync time from the replay's
+		// frames, so a pass that segments measures it under their mask.
+		if cfg.Track != nil {
+			r.Replay = callstack.NewSyncReplay(trace.Rank(rank), cfg.SyncMask)
+		} else {
+			r.Replay = callstack.NewStreamReplay(trace.Rank(rank), len(regions))
+		}
 	}
 	if cfg.Track != nil {
 		r.Cand = segment.NewCandidateSet(trace.Rank(rank), cfg.Track, cfg.SyncMask, cfg.Budget)
@@ -157,50 +215,47 @@ func (r *Rank) stream(src Streams, rank int, cfg *Config) error {
 		}()
 	}
 
-	// The consumers are locals the closure reads, not fields of r, and
-	// the closure is the callback itself rather than a method value, which
-	// would add a call per event.
+	// The consumers are locals the closure reads, not fields of r. The
+	// closure runs once per run of events, and the loop inside it is the
+	// per-event body.
 	rep, cand, scan := r.Replay, r.Cand, r.Scan
-	err := src.StreamRank(rank, func(ev trace.Event) error {
-		if hook != nil {
-			hook.Feed(ev)
-		}
-		if recordOps {
-			if op, ok := clockfix.OpOf(r.Events, ev); ok {
-				r.ops = append(r.ops, op)
+	err := streamRuns(src, rank, func(run []trace.Event) error {
+		events, replaying := r.Events, rep != nil && r.ReplayErr == nil
+		defer func() { r.Events = events }()
+		for _, ev := range run {
+			if hook != nil {
+				hook.Feed(ev)
 			}
-		}
-		r.Events++
-		if scan != nil {
-			scan.Feed(ev)
-		}
-		if rep == nil || r.ReplayErr != nil {
-			return nil
-		}
-		// Replay first: it validates structure, so the consumers after it
-		// only ever see events of a well-formed stream.
-		if err := rep.Feed(ev); err != nil {
-			r.ReplayErr = err
-			if stop {
-				return err
+			if recordOps {
+				if op, ok := clockfix.OpOf(events, ev); ok {
+					r.ops = append(r.ops, op)
+				}
 			}
-			return nil
-		}
-		// A set that rejected an event holds no usable segments: it is
-		// released, so Segments falls back to re-streaming, which meets
-		// the same error. A released set takes further events and drops
-		// them.
-		if cand != nil {
-			if err := cand.Feed(ev); err != nil {
+			events++
+			if scan != nil {
+				scan.Feed(ev)
+			}
+			if !replaying {
+				continue
+			}
+			// Replay first: it validates structure, so the consumers
+			// after it only ever see events of a well-formed stream.
+			if err := rep.Feed(ev); err != nil {
+				r.ReplayErr, replaying = err, false
 				if stop {
 					return err
 				}
-				cand.Release()
+				continue
 			}
-		}
-		if intervals != nil {
-			if from, to, ok := intervals.Feed(ev.Kind, ev.Region, ev.Time); ok {
-				r.Intervals.Append([2]trace.Time{from, to})
+			// The candidate sets cut segments from the invocations the
+			// replay closes: the replay's stack is the only one walked.
+			if cand != nil && ev.Kind == trace.KindLeave {
+				cand.Add(rep.Closed())
+			}
+			if intervals != nil {
+				if from, to, ok := intervals.Feed(ev.Kind, ev.Region, ev.Time); ok {
+					r.Intervals.Append([2]trace.Time{from, to})
+				}
 			}
 		}
 		return nil

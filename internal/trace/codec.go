@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 )
 
 // Shared event codec used by the single-file (PVTR) and directory (PVTA/
@@ -70,8 +71,8 @@ type byteReader interface {
 // so a whole event can always be decoded from one contiguous slice.
 const maxEventEncodedLen = 1 + binary.MaxVarintLen64 + 3*binary.MaxVarintLen64
 
-// eventBatchLen is the length of the stack batch decodeEach decodes into
-// before handing the events to its callback.
+// eventBatchLen is the length of the runs decodeRuns decodes into before
+// handing them to its callback.
 const eventBatchLen = 128
 
 var (
@@ -423,17 +424,25 @@ func (d *eventDecoder) decodeOne(ev *Event) error {
 	return nil
 }
 
-// decodeEach decodes n events and hands each to fn in stream order,
-// decoding in runs into a stack batch. An error from fn is returned
+// runPool recycles the event runs decodeRuns decodes into. A run is
+// handed to a callback, so it cannot live on the decoder's stack: it
+// would escape to the heap on every stream.
+var runPool = sync.Pool{New: func() any { return new([eventBatchLen]Event) }}
+
+// decodeRuns decodes n events and hands them to fn in stream order, a
+// run of up to eventBatchLen at a time, decoded into a pooled buffer:
+// the run is valid only during the call. An error from fn is returned
 // unchanged and ends the stream; a decode failure is returned through
 // at, which receives the index of the failing event after every event
-// before it has reached fn.
-func (d *eventDecoder) decodeEach(n uint64, fn func(Event) error, at func(i uint64, err error) error) error {
-	var batch [eventBatchLen]Event
+// before it has reached fn. It is the one decode loop behind every
+// stream reader.
+func (d *eventDecoder) decodeRuns(n uint64, fn func([]Event) error, at func(i uint64, err error) error) error {
+	run := runPool.Get().(*[eventBatchLen]Event)
+	defer runPool.Put(run)
 	for i := uint64(0); i < n; {
-		k, err := d.decodeRun(batch[:min(n-i, eventBatchLen)])
-		for j := 0; j < k; j++ {
-			if err := fn(batch[j]); err != nil {
+		k, err := d.decodeRun(run[:min(n-i, eventBatchLen)])
+		if k > 0 {
+			if err := fn(run[:k]); err != nil {
 				return err
 			}
 		}
@@ -445,19 +454,42 @@ func (d *eventDecoder) decodeEach(n uint64, fn func(Event) error, at func(i uint
 	return nil
 }
 
-// decodeAll decodes n events into a new slice. A decoder that holds its
-// whole block allocates the slice once: n events, or as many as the
-// block's bytes can encode when a corrupt count claims more, so a count
-// proven by the framing scan or bounded by a rank-index entry costs
-// exactly its events. A streaming decoder cannot see its input's length,
-// so it starts at no more than 64 Ki events and grows as append would.
-// On failure the slice holds the events before the failing one.
-func (d *eventDecoder) decodeAll(n uint64) ([]Event, error) {
-	size := min(n, 1<<16)
-	if d.r == nil {
-		size = min(n, uint64(d.end-d.pos)/minEventEncodedLen)
+// decodeEach is decodeRuns for a per-event fn.
+func (d *eventDecoder) decodeEach(n uint64, fn func(Event) error, at func(i uint64, err error) error) error {
+	return d.decodeRuns(n, eachEvent(fn), at)
+}
+
+// eachEvent adapts a per-event callback to a run callback: it feeds the
+// run's events to fn in order and stops at fn's first error.
+func eachEvent(fn func(Event) error) func([]Event) error {
+	return func(run []Event) error {
+		for _, ev := range run {
+			if err := fn(ev); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	evs := make([]Event, 0, size)
+}
+
+// decodeAll decodes n events into a new slice, allocated once when the
+// decoder knows how many bytes its events can span: n events, or as many
+// as those bytes can encode when a corrupt count claims more, so a count
+// proven by the framing scan or bounded by a rank-index entry or a
+// file's size costs exactly its events. A decoder that holds its whole
+// block knows its length; a streaming decoder is told a bound through
+// size (a file's size, say), or is passed a negative size and starts at
+// no more than 64 Ki events and grows as append would. On failure the
+// slice holds the events before the failing one.
+func (d *eventDecoder) decodeAll(n uint64, size int64) ([]Event, error) {
+	if d.r == nil {
+		size = int64(d.end - d.pos)
+	}
+	capacity := min(n, 1<<16)
+	if size >= 0 {
+		capacity = min(n, uint64(size)/minEventEncodedLen)
+	}
+	evs := make([]Event, 0, capacity)
 	for uint64(len(evs)) < n {
 		if len(evs) == cap(evs) {
 			evs = slices.Grow(evs, 1)

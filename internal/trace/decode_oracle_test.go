@@ -470,7 +470,7 @@ func checkKernels(t *testing.T, c decodeCase, rng *rand.Rand) {
 		checkResult(t, cfg.name+": decodeEach", got, want)
 
 		dec = cfg.make()
-		evs, err := dec.decodeAll(c.n)
+		evs, err := dec.decodeAll(c.n, -1)
 		checkResult(t, cfg.name+": decodeAll", decodeResult{evs, errText(err), dec.offset()}, want)
 
 		// The framing kernel: the slice reference where the reads are

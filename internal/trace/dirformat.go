@@ -238,13 +238,18 @@ func readRankFile(path string, rank int, tr *Trace) ([]Event, error) {
 		return nil, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
 	buf := windowPool.Get().(*[]byte)
 	defer windowPool.Put(buf)
 	dec, nev, err := openRankFile(f, *buf, path, rank, uint64(len(tr.Regions)), uint64(len(tr.Metrics)), uint64(len(tr.Procs)))
 	if err != nil {
 		return nil, err
 	}
-	evs, err := dec.decodeAll(nev)
+	// The file's size bounds its events, so the slice is allocated once.
+	evs, err := dec.decodeAll(nev, fi.Size())
 	if err != nil {
 		return nil, formatf("%s: event %d: %v", path, len(evs), err)
 	}

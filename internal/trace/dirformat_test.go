@@ -3,6 +3,7 @@ package trace
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -161,5 +162,42 @@ func TestRankWriterRejectsUnsorted(t *testing.T) {
 	}
 	if err := w.Write(Leave(50, 0)); err == nil {
 		t.Fatal("unsorted write accepted")
+	}
+}
+
+// TestReadDirAllocatesOncePerEvent is TestReadAllocatesOncePerEvent for
+// directory archives: each rank file is decoded through a window, so
+// its slice is sized once from the file's size, and ReadDir allocates
+// about one 48-byte Event per event. Growing each slice from a capped
+// start, as the decoder must when nothing bounds its input, cost 178
+// bytes per event here.
+func TestReadDirAllocatesOncePerEvent(t *testing.T) {
+	const ranks, calls = 4, 100_000
+	tr := New("alloc", ranks)
+	f := tr.AddRegion("f", ParadigmUser, RoleFunction)
+	for rank := 0; rank < ranks; rank++ {
+		for i := 0; i < calls; i++ {
+			tr.Append(Rank(rank), Enter(Time(2*i), f))
+			tr.Append(Rank(rank), Leave(Time(2*i+1), f))
+		}
+	}
+	dir := t.TempDir()
+	if err := WriteDir(dir, tr); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := ReadDir(dir)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumEvents() != tr.NumEvents() {
+		t.Fatalf("read %d events, want %d", got.NumEvents(), tr.NumEvents())
+	}
+	perEvent := (after.TotalAlloc - before.TotalAlloc) / uint64(tr.NumEvents())
+	t.Logf("ReadDir allocated %d bytes per event", perEvent)
+	if perEvent > 64 {
+		t.Errorf("ReadDir allocated %d bytes per event, want at most 64", perEvent)
 	}
 }

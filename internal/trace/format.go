@@ -256,7 +256,7 @@ func readArchive(r io.Reader) (*Trace, error) {
 		sp := spans[rank]
 		block := data[sp.off : sp.off+sp.len]
 		dec := newSliceDecoder(block, nregions, nmetrics, nprocs)
-		evs, err := dec.decodeAll(sp.nev)
+		evs, err := dec.decodeAll(sp.nev, -1)
 		if err != nil {
 			return nil, formatf("rank %d event %d: %v", rank, len(evs), err)
 		}

@@ -215,13 +215,20 @@ func (rs *RankStreams) Header() *Header { return rs.header }
 // NumRanks returns the number of per-rank streams.
 func (rs *RankStreams) NumRanks() int { return len(rs.spans) }
 
-// StreamRank decodes rank's events and feeds them to fn in stream order.
-// Every call re-reads the rank's block from the backing store, so streams
-// are resumable; calls for different ranks may run concurrently.
-// Returning ErrStopStream from fn ends the stream early without error.
-// A stream that runs to its end fails if the block holds bytes after its
-// declared events.
+// StreamRank decodes rank's events and feeds them to fn in stream order:
+// StreamRuns with a per-event callback.
 func (rs *RankStreams) StreamRank(rank int, fn func(Event) error) error {
+	return rs.StreamRuns(rank, eachEvent(fn))
+}
+
+// StreamRuns decodes rank's events and hands them to fn in stream order,
+// a decoded run at a time; a run is valid only during the call. Every
+// call re-reads the rank's block from the backing store, so streams are
+// resumable; calls for different ranks may run concurrently. Returning
+// ErrStopStream from fn ends the stream early without error. A stream
+// that runs to its end fails if the block holds bytes after its
+// declared events.
+func (rs *RankStreams) StreamRuns(rank int, fn func([]Event) error) error {
 	if rank < 0 || rank >= len(rs.spans) {
 		return formatf("rank %d out of range", rank)
 	}
@@ -237,7 +244,7 @@ func (rs *RankStreams) StreamRank(rank int, fn func(Event) error) error {
 		defer windowPool.Put(buf)
 		dec = newStreamDecoder(io.NewSectionReader(rs.src, sp.off, sp.len), *buf, nregions, nmetrics, nprocs)
 	}
-	err := dec.decodeEach(sp.nev, fn, func(i uint64, err error) error {
+	err := dec.decodeRuns(sp.nev, fn, func(i uint64, err error) error {
 		return formatf("rank %d event %d (archive byte %d): %v", rank, i, sp.off+dec.offset(), err)
 	})
 	if errors.Is(err, ErrStopStream) {
@@ -278,10 +285,17 @@ func (ds *DirStreams) Header() *Header { return ds.header }
 func (ds *DirStreams) NumRanks() int { return len(ds.header.Procs) }
 
 // StreamRank decodes rank's event file and feeds the events to fn in
-// stream order. Every call re-opens the file, so streams are resumable;
-// calls for different ranks may run concurrently. Returning ErrStopStream
-// from fn ends the stream early without error.
+// stream order: StreamRuns with a per-event callback.
 func (ds *DirStreams) StreamRank(rank int, fn func(Event) error) error {
+	return ds.StreamRuns(rank, eachEvent(fn))
+}
+
+// StreamRuns decodes rank's event file and hands the events to fn in
+// stream order, a decoded run at a time; a run is valid only during the
+// call. Every call re-opens the file, so streams are resumable; calls
+// for different ranks may run concurrently. Returning ErrStopStream from
+// fn ends the stream early without error.
+func (ds *DirStreams) StreamRuns(rank int, fn func([]Event) error) error {
 	if rank < 0 || rank >= len(ds.header.Procs) {
 		return formatf("rank %d out of range", rank)
 	}
@@ -301,7 +315,7 @@ func (ds *DirStreams) StreamRank(rank int, fn func(Event) error) error {
 	if err != nil {
 		return err
 	}
-	err = dec.decodeEach(nev, fn, func(i uint64, err error) error {
+	err = dec.decodeRuns(nev, fn, func(i uint64, err error) error {
 		return formatf("%s: rank %d event %d: %v", path, rank, i, err)
 	})
 	if errors.Is(err, ErrStopStream) {

@@ -104,14 +104,18 @@ func (tr *Trace) AddMetric(name, unit string, mode MetricMode) MetricID {
 // stream shape the archive readers (RankStreams, DirStreams) share.
 // Returning ErrStopStream from fn ends the stream early without error.
 func (tr *Trace) StreamRank(rank int, fn func(Event) error) error {
+	return tr.StreamRuns(rank, eachEvent(fn))
+}
+
+// StreamRuns hands rank's events to fn as one run: the trace's own event
+// slice, not a copy, which fn must not modify or retain. Returning
+// ErrStopStream from fn ends the stream without error.
+func (tr *Trace) StreamRuns(rank int, fn func([]Event) error) error {
 	if rank < 0 || rank >= len(tr.Procs) {
 		return fmt.Errorf("trace: rank %d out of range", rank)
 	}
-	for _, ev := range tr.Procs[rank].Events {
-		if err := fn(ev); err != nil {
-			if errors.Is(err, ErrStopStream) {
-				return nil
-			}
+	if evs := tr.Procs[rank].Events; len(evs) > 0 {
+		if err := fn(evs); err != nil && !errors.Is(err, ErrStopStream) {
 			return err
 		}
 	}

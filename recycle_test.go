@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -177,5 +178,44 @@ func TestRecycledBuffersConcurrent(t *testing.T) {
 		if !reflect.DeepEqual(res.Matrix, pinned[i]) {
 			t.Fatalf("%s: an earlier result's segment matrix changed under later analyses", res.Matrix.RegionName)
 		}
+	}
+}
+
+// TestWarmAnalyzeAllocs pins what a warm AnalyzeSource over the 200-rank
+// FD4 archive allocates, at GOMAXPROCS 1 so that every pooled buffer is
+// drawn from one P's pool. The per-rank pass decodes into pooled event
+// runs, and gathers a per-event source's events into pooled runs too: a
+// run handed to the pass's callback escapes, so a buffer per rank stream
+// would cost 6 KiB per rank, 1.2 MiB per analysis here. Before the pass
+// took runs the engine allocated 6349 to 6369 times and 763 to 783 kB
+// per analysis here, and the bounds hold it there; with the run loop it
+// reads about 5750 allocations and 735 to 755 kB.
+func TestWarmAnalyzeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	src := ArchiveSource(fd4ArchiveBytes(t))
+	analyze := func() {
+		if _, err := AnalyzeSource(context.Background(), src, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	analyze()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		analyze()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("warm AnalyzeSource: %d allocs, %d bytes", allocs, bytes)
+	if allocs > 6400 {
+		t.Errorf("warm AnalyzeSource allocates %d times, want at most 6400", allocs)
+	}
+	if bytes > 800_000 {
+		t.Errorf("warm AnalyzeSource allocates %d bytes, want at most 800000", bytes)
 	}
 }

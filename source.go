@@ -86,6 +86,12 @@ func (s *traceStreams) StreamRank(rank int, fn func(Event) error) error {
 	return s.tr.StreamRank(rank, fn)
 }
 
+// StreamRuns hands rank's events to the per-rank pass as one run, the
+// trace's own slice.
+func (s *traceStreams) StreamRuns(rank int, fn func([]Event) error) error {
+	return s.tr.StreamRuns(rank, fn)
+}
+
 // shiftedSource is a clock-corrected source: it adds shifts[rank] to
 // every timestamp of rank as the events stream (CorrectClocksSource).
 type shiftedSource struct {
@@ -121,6 +127,7 @@ type rankStreamer interface {
 	Header() *trace.Header
 	NumRanks() int
 	StreamRank(rank int, fn func(trace.Event) error) error
+	StreamRuns(rank int, fn func([]trace.Event) error) error
 }
 
 // archiveStreams adapts a trace-level streamer to SourceStreams.
@@ -134,6 +141,12 @@ func (s *archiveStreams) NumRanks() int        { return s.str.NumRanks() }
 
 func (s *archiveStreams) StreamRank(rank int, fn func(Event) error) error {
 	return s.str.StreamRank(rank, fn)
+}
+
+// StreamRuns hands rank's events to the per-rank pass a decoded run at
+// a time.
+func (s *archiveStreams) StreamRuns(rank int, fn func([]Event) error) error {
+	return s.str.StreamRuns(rank, fn)
 }
 
 func (s *archiveStreams) Close() error {

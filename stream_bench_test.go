@@ -16,7 +16,7 @@ import (
 	"perfvar/internal/workloads"
 )
 
-func fd4ArchiveBytes(b *testing.B) []byte {
+func fd4ArchiveBytes(b testing.TB) []byte {
 	b.Helper()
 	tr, err := workloads.FD4(workloads.DefaultFD4())
 	if err != nil {

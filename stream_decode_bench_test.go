@@ -10,17 +10,17 @@ import (
 )
 
 // BenchmarkStreamDecode measures archive decode on its own: an in-memory
-// PVTR archive is opened through ArchiveSource (the framing scan) and
-// every rank is streamed, in parallel as the engine streams them, into a
-// no-op consumer. Its ns/event over BenchmarkAnalyzeSynthetic's is what
+// PVTR archive is opened through ArchiveSource (its blocks located by
+// the rank index) and every rank is streamed, in parallel as the engine
+// streams them, into a no-op per-event consumer. Its ns/event over BenchmarkAnalyzeSynthetic's is what
 // decode costs against the analysis floor; CI gates that ratio on synth.
 func BenchmarkStreamDecode(b *testing.B) {
 	for _, bc := range []struct {
 		name string
-		data func(*testing.B) []byte
+		data func(testing.TB) []byte
 	}{
 		{"fd4", fd4ArchiveBytes},
-		{"synth", func(b *testing.B) []byte {
+		{"synth", func(b testing.TB) []byte {
 			var buf bytes.Buffer
 			if err := benchSynthConfig().WriteArchive(&buf); err != nil {
 				b.Fatal(err)

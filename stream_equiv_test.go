@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"perfvar/internal/core/imbalance"
+	"perfvar/internal/lint"
 	"perfvar/internal/trace"
 	"perfvar/internal/trace/tracetest"
 	"perfvar/internal/vis"
@@ -535,6 +536,57 @@ func TestIndexedArchiveBlockFaultIsFormatError(t *testing.T) {
 		_, err := AnalyzeSource(context.Background(), src, Options{})
 		if !errors.Is(err, trace.ErrFormat) || strings.HasPrefix(err.Error(), "dominant:") || !strings.Contains(err.Error(), "rank 5 event 0") {
 			t.Fatalf("err = %v, want rank 5's ErrFormat", err)
+		}
+	}
+}
+
+// Property: the entry paths hand the per-rank pass its events in
+// different runs — a trace as one run of its own events, a PVTR archive
+// and a directory archive as decoded runs, a generator's events gathered
+// by the pass's per-event adapter — and on random well-nested traces
+// (tracetest.Nested) all four give byte-identical report JSON and equal
+// lint results, with the lint run fused into the pass and with a
+// candidate budget small enough to evict into the fallback pass.
+func TestEntryPathsReportBytesProperty(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(0); seed < 40; seed++ {
+		tr := tracetest.Nested(seed, 1+int(seed%5))
+		dir := filepath.Join(t.TempDir(), "nested.pvtd")
+		if err := SaveTraceDir(dir, tr); err != nil {
+			t.Fatal(err)
+		}
+		sources := []struct {
+			name string
+			src  Source
+		}{
+			{"trace", TraceSource(tr)},
+			{"archive", ArchiveSource(pvtrBytes(t, tr))},
+			{"directory", FileSource(dir)},
+			{"synthetic", SyntheticSource(tr.Header(), tr.StreamRank)},
+		}
+		for _, opts := range []Options{{}, {Lint: true}, {CandidateSegmentBudget: 2}} {
+			var want []byte
+			var wantLint *lint.Result
+			for i, s := range sources {
+				res, err := AnalyzeSource(ctx, s.src, opts)
+				if err != nil {
+					t.Fatalf("seed %d %s %+v: %v", seed, s.name, opts, err)
+				}
+				var js bytes.Buffer
+				if err := res.Report().WriteJSON(&js); err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					want, wantLint = js.Bytes(), res.Lint
+					continue
+				}
+				if !bytes.Equal(js.Bytes(), want) {
+					t.Fatalf("seed %d %s %+v: report JSON differs from the trace's:\n want %s\n got  %s", seed, s.name, opts, want, js.Bytes())
+				}
+				if !reflect.DeepEqual(res.Lint, wantLint) {
+					t.Fatalf("seed %d %s %+v: lint result differs from the trace's", seed, s.name, opts)
+				}
+			}
 		}
 	}
 }
