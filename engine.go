@@ -196,18 +196,21 @@ func AnalyzeSource(ctx context.Context, src Source, opts Options) (*Result, erro
 	}
 
 	// Bin the recorded MPI intervals now that the global span is known,
-	// through the binner imbalance.MPIFractionTimeline uses.
+	// rank by rank on the worker pool, through the binner
+	// imbalance.MPIFractionTimeline uses.
 	var frac []float64
 	if bins > 0 {
-		bn := imbalance.NewBinner(first, last, bins)
-		for _, r := range pass.Ranks {
-			for i := 0; i < r.Intervals.NumChunks(); i++ {
-				for _, iv := range r.Intervals.Chunk(i) {
-					bn.AddInterval(iv[0], iv[1])
+		frac, err = imbalance.NewBinner(first, last, bins).Fractions(ctx, nranks, func(rank int, c *imbalance.BinCursor) {
+			ivs := &pass.Ranks[rank].Intervals
+			for i := 0; i < ivs.NumChunks(); i++ {
+				for _, iv := range ivs.Chunk(i) {
+					c.Add(iv[0], iv[1])
 				}
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
-		frac = bn.Fractions(nranks)
 	}
 
 	var lres *lint.Result

@@ -59,14 +59,12 @@ func (r *IntervalRecorder) Open() (start trace.Time, ok bool) {
 }
 
 // EachInterval calls fn with the maximal intervals inside the masked
-// regions of every rank of tr, ranks in order.
-func EachInterval(tr *trace.Trace, mask []bool, fn func(from, to trace.Time)) {
-	for rank := range tr.Procs {
-		rec := IntervalRecorder{mask: mask}
-		for _, ev := range tr.Procs[rank].Events {
-			if from, to, ok := rec.Feed(ev.Kind, ev.Region, ev.Time); ok {
-				fn(from, to)
-			}
+// regions of one rank's events, in order.
+func EachInterval(events []trace.Event, mask []bool, fn func(from, to trace.Time)) {
+	rec := IntervalRecorder{mask: mask}
+	for _, ev := range events {
+		if from, to, ok := rec.Feed(ev.Kind, ev.Region, ev.Time); ok {
+			fn(from, to)
 		}
 	}
 }

@@ -25,9 +25,11 @@ func TestIntervalRecorder(t *testing.T) {
 	tr.Append(1, trace.Enter(4, bar))
 	tr.Append(1, trace.Leave(7, bar))
 	var got [][2]trace.Time
-	EachInterval(tr, ParadigmMask(tr.Regions, trace.ParadigmMPI), func(from, to trace.Time) {
-		got = append(got, [2]trace.Time{from, to})
-	})
+	for _, p := range tr.Procs {
+		EachInterval(p.Events, ParadigmMask(tr.Regions, trace.ParadigmMPI), func(from, to trace.Time) {
+			got = append(got, [2]trace.Time{from, to})
+		})
+	}
 	want := [][2]trace.Time{{2, 6}, {8, 9}, {4, 7}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("MPI intervals = %v, want %v", got, want)

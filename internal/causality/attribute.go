@@ -329,6 +329,9 @@ type propagator struct {
 	// the merge in dist; it is only live between the recursive calls and
 	// the merge, so a single slot suffices.
 	self [1]share
+	// merged is dist's merge output before it is copied into memo, for
+	// the same reason shared by every node.
+	merged []share
 }
 
 // inEdge is one incoming late-sender wait of a node.
@@ -412,51 +415,35 @@ func (p *propagator) dist(n Node) []share {
 		p.self[0] = share{n, 1}
 	}
 	p.onPath[s] = false
-	// First merge pass counts the distinct origins so the memoized slice
-	// is allocated at its exact final size; the second accumulates.
-	distinct := 0
-	for pass := 0; pass < 2; pass++ {
-		var d []share
-		if pass == 1 {
-			d = make([]share, 0, distinct)
-		}
-		for {
-			var min Node
-			found := false
-			for i := range parts {
-				if parts[i].next >= len(parts[i].d) {
-					continue
-				}
-				o := parts[i].d[parts[i].next].origin
-				if !found || nodeLess(o, min) {
-					min, found = o, true
-				}
-			}
-			if !found {
-				break
-			}
-			var w float64
-			for i := range parts {
-				if parts[i].next < len(parts[i].d) && parts[i].d[parts[i].next].origin == min {
-					if pass == 1 {
-						w += parts[i].w * parts[i].d[parts[i].next].weight
-					}
-					parts[i].next++
-				}
-			}
-			if pass == 0 {
-				distinct++
-			} else {
-				d = append(d, share{min, w})
-			}
-		}
-		if pass == 1 {
-			p.memo[s] = d
-			return d
-		}
+	// One merge pass accumulates into the shared scratch (no recursion
+	// runs during the merge), and the memoized slice is an exact-size
+	// copy of it.
+	d := p.merged[:0]
+	for {
+		var min Node
+		found := false
 		for i := range parts {
-			parts[i].next = 0
+			if parts[i].next >= len(parts[i].d) {
+				continue
+			}
+			o := parts[i].d[parts[i].next].origin
+			if !found || nodeLess(o, min) {
+				min, found = o, true
+			}
 		}
+		if !found {
+			break
+		}
+		var w float64
+		for i := range parts {
+			if parts[i].next < len(parts[i].d) && parts[i].d[parts[i].next].origin == min {
+				w += parts[i].w * parts[i].d[parts[i].next].weight
+				parts[i].next++
+			}
+		}
+		d = append(d, share{min, w})
 	}
-	panic("unreachable")
+	p.merged = d
+	p.memo[s] = slices.Clone(d)
+	return p.memo[s]
 }

@@ -39,6 +39,7 @@ import (
 	"sort"
 
 	"perfvar/internal/callstack"
+	"perfvar/internal/clockfix"
 	"perfvar/internal/core/segment"
 	"perfvar/internal/parallel"
 	"perfvar/internal/trace"
@@ -82,20 +83,6 @@ func (k WaitKind) String() string {
 		return "late-receiver"
 	}
 	return "unknown"
-}
-
-// Pair is one matched send/recv couple, as produced by a FIFO message
-// matcher (the lint msgmatch facts). RecvEvent indexes the receiver's
-// event stream; Build needs it to look up the receive's enclosing wait
-// region.
-type Pair struct {
-	SendRank  trace.Rank
-	SendTime  trace.Time
-	RecvRank  trace.Rank
-	RecvTime  trace.Time
-	RecvEvent int
-	Tag       int32
-	Bytes     int64
 }
 
 // RankDep is a rank-level wait-for edge derived from an unmatched
@@ -168,8 +155,11 @@ type Graph struct {
 // Input bundles BuildContext's inputs. Matrix must be non-nil; it defines the
 // segment coordinates of the graph nodes.
 type Input struct {
-	Matrix    *segment.Matrix
-	Pairs     []Pair
+	Matrix *segment.Matrix
+	// Pairs are the matched messages, as clockfix.Match pairs them; a
+	// receive's Event indexes its rank's event stream, where Build looks
+	// up the receive's enclosing wait region.
+	Pairs     []clockfix.MsgPair
 	Unmatched []RankDep
 	// Scans holds one finished RankScanner per rank: the callers consume
 	// the event streams themselves and hand over the per-rank summaries.
@@ -387,7 +377,7 @@ func buildEdgesCtx(ctx context.Context, in Input) ([]Edge, error) {
 	cols := make([]int32, len(in.Pairs))
 	counts := make([]int32, columns+1)
 	for i, p := range in.Pairs {
-		col := segIndex(in.Matrix, p.RecvRank, p.RecvTime)
+		col := segIndex(in.Matrix, p.Recv.Rank, p.Recv.Time)
 		cols[i] = int32(col)
 		if col >= 0 {
 			counts[col+1]++
@@ -406,23 +396,29 @@ func buildEdgesCtx(ctx context.Context, in Input) ([]Edge, error) {
 		idx[next[col]] = int32(i)
 		next[col]++
 	}
-	// Two passes over the columns on the worker pool: the first counts
-	// each column's edges, the second writes them into their place in
-	// one exact-size slice, so the edges are allocated once.
-	at := make([]int, columns+1)
-	if err := parallel.DoCtx(ctx, columns, func(col int) {
-		at[col+1] = columnEdges(nil, in, idx[counts[col]:counts[col+1]], col)
-	}); err != nil {
-		return nil, err
-	}
+	// One pass over the columns on the worker pool. A column has at most
+	// as many edges as pairs, since each edge aggregates at least one, so
+	// each worker writes a column's edges into its own scratch, sized to
+	// the largest column, and keeps an exact-size copy; the columns are
+	// then joined in order.
+	widest := int32(0)
 	for c := 0; c < columns; c++ {
-		at[c+1] += at[c]
+		widest = max(widest, counts[c+1]-counts[c])
 	}
-	out := make([]Edge, at[columns])
-	if err := parallel.DoCtx(ctx, columns, func(col int) {
-		columnEdges(out[at[col]:at[col+1]], in, idx[counts[col]:counts[col+1]], col)
+	perCol := make([][]Edge, columns)
+	if _, err := parallel.DoWorkersCtx(ctx, columns, func() []Edge { return make([]Edge, widest) }, func(buf []Edge, col int) {
+		pairIdx := idx[counts[col]:counts[col+1]]
+		perCol[col] = slices.Clone(buf[:columnEdges(buf, in, pairIdx, col)])
 	}); err != nil {
 		return nil, err
+	}
+	total := 0
+	for _, es := range perCol {
+		total += len(es)
+	}
+	out := make([]Edge, 0, total)
+	for _, es := range perCol {
+		out = append(out, es...)
 	}
 	return out, nil
 }
@@ -434,15 +430,16 @@ func buildEdgesCtx(ctx context.Context, in Input) ([]Edge, error) {
 const maxRunKeys = 16
 
 // columnEdges aggregates the classified pairs of one waiter segment
-// column into edges sorted by (waiter, causer, kind), written to dst
-// when it is non-nil, and returns how many there are. Pairs arrive in
-// (receiver rank, receive event) order, the order clockfix.Match
-// produces, so each waiter rank's pairs form one contiguous run (pairs
-// in another order are grouped by receiver rank first), and each run is
-// aggregated over its own few keys and sorted on its own. The sums are
-// integers, so the aggregation order does not show in the edges.
+// column into edges sorted by (waiter, causer, kind), written to dst,
+// which holds at least one edge per pair, and returns how many there
+// are. Pairs arrive in (receiver rank, receive event) order, the order
+// clockfix.Match produces, so each waiter rank's pairs form one
+// contiguous run (pairs in another order are grouped by receiver rank
+// first), and each run is aggregated over its own few keys and sorted on
+// its own. The sums are integers, so the aggregation order does not show
+// in the edges.
 func columnEdges(dst []Edge, in Input, pairIdx []int32, col int) int {
-	byWaiter := func(a, b int32) int { return cmp.Compare(in.Pairs[a].RecvRank, in.Pairs[b].RecvRank) }
+	byWaiter := func(a, b int32) int { return cmp.Compare(in.Pairs[a].Recv.Rank, in.Pairs[b].Recv.Rank) }
 	if !slices.IsSortedFunc(pairIdx, byWaiter) {
 		slices.SortFunc(pairIdx, byWaiter)
 	}
@@ -450,14 +447,10 @@ func columnEdges(dst []Edge, in Input, pairIdx []int32, col int) int {
 	n := 0
 	for len(pairIdx) > 0 {
 		k := 1
-		for k < len(pairIdx) && in.Pairs[pairIdx[k]].RecvRank == in.Pairs[pairIdx[0]].RecvRank {
+		for k < len(pairIdx) && in.Pairs[pairIdx[k]].Recv.Rank == in.Pairs[pairIdx[0]].Recv.Rank {
 			k++
 		}
-		es := runEdges(in, pairIdx[:k], col, &buf)
-		if dst != nil {
-			copy(dst[n:], es)
-		}
-		n += len(es)
+		n += copy(dst[n:], runEdges(in, pairIdx[:k], col, &buf))
 		pairIdx = pairIdx[k:]
 	}
 	return n
@@ -536,24 +529,24 @@ func edgeCmp(a, b Edge) int {
 // synchronization region or on an unscanned rank.
 func classifyPair(in Input, pi int32, col int) (e Edge, ok bool) {
 	p := &in.Pairs[pi]
-	if int(p.RecvRank) < 0 || int(p.RecvRank) >= len(in.Scans) {
+	if int(p.Recv.Rank) < 0 || int(p.Recv.Rank) >= len(in.Scans) {
 		return Edge{}, false
 	}
-	eff, ok := in.Scans[p.RecvRank].waitOf(p.RecvEvent)
+	eff, ok := in.Scans[p.Recv.Rank].waitOf(p.Recv.Event)
 	if !ok {
 		return Edge{}, false
 	}
 	e = Edge{
-		Causer: Node{Rank: p.SendRank, Segment: segIndex(in.Matrix, p.SendRank, p.SendTime)},
-		Waiter: Node{Rank: p.RecvRank, Segment: col},
-		Wait:   clampDur(p.RecvTime - eff),
+		Causer: Node{Rank: p.Send.Rank, Segment: segIndex(in.Matrix, p.Send.Rank, p.Send.Time)},
+		Waiter: Node{Rank: p.Recv.Rank, Segment: col},
+		Wait:   clampDur(p.Recv.Time - eff),
 		Count:  1,
 	}
-	if p.SendTime > eff {
+	if p.Send.Time > eff {
 		e.Kind = LateSender
 	} else {
 		e.Kind = LateReceiver
-		e.Slack = clampDur(eff - p.SendTime)
+		e.Slack = clampDur(eff - p.Send.Time)
 	}
 	return e, true
 }

@@ -5,9 +5,19 @@ import (
 	"sync"
 	"testing"
 
+	"perfvar/internal/clockfix"
 	"perfvar/internal/core/segment"
 	"perfvar/internal/trace"
 )
+
+// msg is the matched message sent by sendRank at sendTime and received
+// by recvRank's event recvEvent at recvTime.
+func msg(sendRank trace.Rank, sendTime trace.Time, recvRank trace.Rank, recvTime trace.Time, recvEvent int) clockfix.MsgPair {
+	return clockfix.MsgPair{
+		Send: clockfix.MsgRef{Rank: sendRank, Time: sendTime, Peer: recvRank},
+		Recv: clockfix.MsgRef{Rank: recvRank, Time: recvTime, Event: recvEvent, Peer: sendRank},
+	}
+}
 
 // regions adds the standard test region set: a user "step" function to
 // segment on, plus MPI point-to-point and wait regions.
@@ -82,7 +92,7 @@ func TestLateSenderClassification(t *testing.T) {
 	ev, rt := recvEvent(tr, 1, 0)
 	g := build(t, Input{
 		Scans: scans(tr), Matrix: matrix(t, tr, step),
-		Pairs: []Pair{{SendRank: 0, SendTime: 100, RecvRank: 1, RecvTime: rt, RecvEvent: ev}},
+		Pairs: []clockfix.MsgPair{msg(0, 100, 1, rt, ev)},
 	})
 	if len(g.Edges) != 1 {
 		t.Fatalf("edges = %+v, want 1", g.Edges)
@@ -117,7 +127,7 @@ func TestLateReceiverClassification(t *testing.T) {
 	ev, rt := recvEvent(tr, 1, 0)
 	g := build(t, Input{
 		Scans: scans(tr), Matrix: matrix(t, tr, step),
-		Pairs: []Pair{{SendRank: 0, SendTime: 5, RecvRank: 1, RecvTime: rt, RecvEvent: ev}},
+		Pairs: []clockfix.MsgPair{msg(0, 5, 1, rt, ev)},
 	})
 	if len(g.Edges) != 1 || g.Edges[0].Kind != LateReceiver {
 		t.Fatalf("edges = %+v, want one late-receiver", g.Edges)
@@ -147,7 +157,7 @@ func TestRecvOutsideSyncRegionSkipped(t *testing.T) {
 	ev, rt := recvEvent(tr, 1, 0)
 	g := build(t, Input{
 		Scans: scans(tr), Matrix: matrix(t, tr, step),
-		Pairs: []Pair{{SendRank: 0, SendTime: 100, RecvRank: 1, RecvTime: rt, RecvEvent: ev}},
+		Pairs: []clockfix.MsgPair{msg(0, 100, 1, rt, ev)},
 	})
 	if len(g.Edges) != 0 {
 		t.Fatalf("bare receive produced edges: %+v", g.Edges)
@@ -178,9 +188,9 @@ func TestWaitallSecondWaitStartsAtFirstCompletion(t *testing.T) {
 	ev1, rt1 := recvEvent(tr, 1, 1)
 	g := build(t, Input{
 		Scans: scans(tr), Matrix: matrix(t, tr, step),
-		Pairs: []Pair{
-			{SendRank: 0, SendTime: 90, RecvRank: 1, RecvTime: rt0, RecvEvent: ev0},
-			{SendRank: 2, SendTime: 120, RecvRank: 1, RecvTime: rt1, RecvEvent: ev1},
+		Pairs: []clockfix.MsgPair{
+			msg(0, 90, 1, rt0, ev0),
+			msg(2, 120, 1, rt1, ev1),
 		},
 	})
 	if len(g.Edges) != 2 {
@@ -242,10 +252,10 @@ func TestCollectiveBlameDecomposition(t *testing.T) {
 // chainTrace builds a 3-rank, two-iteration wait chain: rank 0 computes
 // long and sends late to rank 1, which immediately forwards to rank 2.
 // Rank 1 is a pure relay — all blame must fold back onto rank 0.
-func chainTrace(t *testing.T) (*trace.Trace, *segment.Matrix, []Pair) {
+func chainTrace(t *testing.T) (*trace.Trace, *segment.Matrix, []clockfix.MsgPair) {
 	tr := trace.New("chain", 3)
 	step, snd, rcv, _ := regions(tr)
-	var pairs []Pair
+	var pairs []clockfix.MsgPair
 	for it := 0; it < 2; it++ {
 		t0 := trace.Time(it) * 1000
 		tr.Append(0, trace.Enter(t0, step))
@@ -272,8 +282,8 @@ func chainTrace(t *testing.T) (*trace.Trace, *segment.Matrix, []Pair) {
 		ev1, rt1 := recvEvent(tr, 1, it)
 		ev2, rt2 := recvEvent(tr, 2, it)
 		pairs = append(pairs,
-			Pair{SendRank: 0, SendTime: t0 + 200, RecvRank: 1, RecvTime: rt1, RecvEvent: ev1},
-			Pair{SendRank: 1, SendTime: t0 + 215, RecvRank: 2, RecvTime: rt2, RecvEvent: ev2},
+			msg(0, t0+200, 1, rt1, ev1),
+			msg(1, t0+215, 2, rt2, ev2),
 		)
 	}
 	return tr, matrix(t, tr, step), pairs
@@ -340,9 +350,9 @@ func TestMalformedStreamDoesNotPanic(t *testing.T) {
 	ev1, rt1 := recvEvent(tr, 1, 0)
 	g := build(t, Input{
 		Scans: scans(tr), Matrix: m,
-		Pairs: []Pair{
-			{SendRank: 1, SendTime: 40, RecvRank: 0, RecvTime: rt0, RecvEvent: ev0},
-			{SendRank: 0, SendTime: 45, RecvRank: 1, RecvTime: rt1, RecvEvent: ev1},
+		Pairs: []clockfix.MsgPair{
+			msg(1, 40, 0, rt0, ev0),
+			msg(0, 45, 1, rt1, ev1),
 		},
 		Unmatched: []RankDep{{From: 0, To: 1}, {From: 1, To: 0}},
 	})

@@ -114,7 +114,6 @@ type Messages struct {
 // out in (Recv.Rank, Recv.Event) order and the unmatched lists in
 // (Rank, Event) order.
 func Match(nranks int, ops [][]Op) Messages {
-	valid := func(op *Op) bool { return op.Peer >= 0 && int(op.Peer) < nranks }
 	// Every rank's index takes two int32s per op, carved from one
 	// exact-size allocation.
 	base := make([]int, len(ops)+1)
@@ -123,8 +122,10 @@ func Match(nranks int, ops [][]Op) Messages {
 	}
 	buf := make([]int32, base[len(ops)])
 	idx := make([]chanIndex, len(ops))
-	parallel.Do(len(ops), func(rank int) {
-		idx[rank] = newChanIndex(ops[rank], valid, buf[base[rank]:base[rank+1]])
+	// Only a cancelled context fails the fan-out, and this one is never
+	// cancelled.
+	_, _ = parallel.DoWorkersCtx(context.Background(), len(ops), func() *peerCounts { return new(peerCounts) }, func(pc *peerCounts, rank int) {
+		idx[rank] = newChanIndex(ops[rank], nranks, pc, buf[base[rank]:base[rank+1]])
 	})
 
 	// Zip: per peer, a receiving rank's receives and the peer's sends to
@@ -183,7 +184,7 @@ func Match(nranks int, ops [][]Op) Messages {
 		p, s, r := pairOff[rank], sendOff[rank], recvOff[rank]
 		for i := range rops {
 			op := &rops[i]
-			if !valid(op) {
+			if !op.peerIn(nranks) {
 				continue
 			}
 			switch j := partner[i]; {
@@ -205,44 +206,110 @@ func Match(nranks int, ops [][]Op) Messages {
 	return msgs
 }
 
+// peerIn reports whether op addresses a peer in [0, nranks).
+func (op *Op) peerIn(nranks int) bool { return op.Peer >= 0 && int(op.Peer) < nranks }
+
 // chanIndex is one rank's channel index for Match: the positions of its
-// valid sends and receives in the rank's ops, each sorted by
-// (peer, tag, position) so that every channel is one FIFO-ordered run,
-// and each op's partner position in the peer's ops (-1 while unmatched).
+// valid sends and receives in the rank's ops, each in (peer, tag,
+// position) order so that every channel is one FIFO-ordered run, and
+// each op's partner position in the peer's ops (-1 while unmatched).
 type chanIndex struct {
 	sends, recvs, partner []int32
 }
 
-// newChanIndex indexes rops in buf, which holds two int32s per op.
-func newChanIndex(rops []Op, valid func(*Op) bool, buf []int32) chanIndex {
+// peerCounts is the scratch one worker buckets its ranks' ops with: per
+// peer, the rank's sends and receives addressing it (then their runs'
+// next free slots), and the peers the rank addresses. Only the touched
+// entries are ever non-zero, and they are reset before the worker's next
+// rank, so a rank costs O(its ops + its distinct peers) however many
+// ranks the trace declares; the counters, sized once per worker, cost
+// O(workers × nranks).
+type peerCounts struct {
+	n       [][2]int32 // [peer]{sends, receives}
+	touched []trace.Rank
+}
+
+// newChanIndex indexes rops in buf, which holds two int32s per op; the
+// valid ops are those addressing a peer in [0, nranks). It buckets the
+// positions by peer in one stable counting pass over pc, so each peer's
+// run is in position order, and sorts a run by tag only when its tags
+// are out of order.
+func newChanIndex(rops []Op, nranks int, pc *peerCounts, buf []int32) chanIndex {
 	partner, pos := buf[:len(rops)], buf[len(rops):]
+	if len(rops) == 0 {
+		return chanIndex{partner: partner}
+	}
+	if len(pc.n) < nranks {
+		pc.n = make([][2]int32, nranks)
+	}
 	ns, nr := 0, 0
 	for i := range rops {
 		partner[i] = -1
-		switch {
-		case !valid(&rops[i]):
-		case rops[i].Recv:
+		op := &rops[i]
+		if !op.peerIn(nranks) {
+			continue
+		}
+		c := &pc.n[op.Peer]
+		if c[0] == 0 && c[1] == 0 {
+			pc.touched = append(pc.touched, op.Peer)
+		}
+		if op.Recv {
+			c[1]++
 			nr++
-			pos[len(pos)-nr] = int32(i)
-		default:
-			pos[ns] = int32(i)
+		} else {
+			c[0]++
 			ns++
 		}
 	}
-	ix := chanIndex{sends: pos[:ns], recvs: pos[len(pos)-nr:], partner: partner}
-	byChannel := func(a, b int32) int {
-		oa, ob := &rops[a], &rops[b]
-		if oa.Peer != ob.Peer {
-			return cmp.Compare(oa.Peer, ob.Peer)
-		}
-		if oa.Tag != ob.Tag {
-			return cmp.Compare(oa.Tag, ob.Tag)
-		}
-		return cmp.Compare(a, b)
+	// Runs in peer order: each count becomes its run's first slot.
+	slices.Sort(pc.touched)
+	s, r := int32(0), int32(len(pos)-nr)
+	for _, peer := range pc.touched {
+		c := &pc.n[peer]
+		c[0], s = s, s+c[0]
+		c[1], r = r, r+c[1]
 	}
-	slices.SortFunc(ix.sends, byChannel)
-	slices.SortFunc(ix.recvs, byChannel)
+	for i := range rops {
+		op := &rops[i]
+		if !op.peerIn(nranks) {
+			continue
+		}
+		slot := &pc.n[op.Peer][0]
+		if op.Recv {
+			slot = &pc.n[op.Peer][1]
+		}
+		pos[*slot] = int32(i)
+		*slot++
+	}
+	for _, peer := range pc.touched {
+		pc.n[peer] = [2]int32{}
+	}
+	pc.touched = pc.touched[:0]
+	ix := chanIndex{sends: pos[:ns], recvs: pos[len(pos)-nr:], partner: partner}
+	sortRunsByTag(rops, ix.sends)
+	sortRunsByTag(rops, ix.recvs)
 	return ix
+}
+
+// sortRunsByTag sorts each same-peer run of idx, already in position
+// order, by (tag, position) where its tags are out of order.
+func sortRunsByTag(rops []Op, idx []int32) {
+	for i := 0; i < len(idx); {
+		peer, sorted := rops[idx[i]].Peer, true
+		j := i + 1
+		for ; j < len(idx) && rops[idx[j]].Peer == peer; j++ {
+			sorted = sorted && rops[idx[j-1]].Tag <= rops[idx[j]].Tag
+		}
+		if !sorted {
+			slices.SortFunc(idx[i:j], func(a, b int32) int {
+				if c := cmp.Compare(rops[a].Tag, rops[b].Tag); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+		}
+		i = j
+	}
 }
 
 func msgRef(rank trace.Rank, op *Op) MsgRef {
@@ -252,11 +319,10 @@ func msgRef(rank trace.Rank, op *Op) MsgRef {
 	}
 }
 
-// ClockPairs returns the timestamp pairs of msgs' matched messages,
-// sorted by (SendTime, Src, Dst): the input of every clock-skew check.
-// Ops addressing out-of-range peers sit in channels that can never pair,
-// so dropping them before matching changes no pair.
-func ClockPairs(msgs *Messages) []Pair {
+// MatchedPairs returns the timestamp pairs of msgs' matched messages, in
+// msgs.Pairs order. Ops addressing out-of-range peers sit in channels
+// that can never pair, so dropping them before matching changes no pair.
+func MatchedPairs(msgs *Messages) []Pair {
 	pairs := make([]Pair, len(msgs.Pairs))
 	for i, p := range msgs.Pairs {
 		pairs[i] = Pair{
@@ -264,20 +330,33 @@ func ClockPairs(msgs *Messages) []Pair {
 			SendTime: p.Send.Time, RecvTime: p.Recv.Time,
 		}
 	}
-	// The diagnostics' cut-offs and the offset sweep depend on the order
-	// pdqsort leaves pairs tied on the key in; slices.SortFunc takes the
-	// same steps as sort.Slice without its indirect swapper
-	// (TestClockPairsMatchReferenceOrder pins the order).
-	slices.SortFunc(pairs, func(a, b Pair) int {
-		if a.SendTime != b.SendTime {
-			return cmp.Compare(a.SendTime, b.SendTime)
-		}
-		if a.Src != b.Src {
-			return cmp.Compare(a.Src, b.Src)
-		}
-		return cmp.Compare(a.Dst, b.Dst)
-	})
 	return pairs
+}
+
+// ClockPairs returns MatchedPairs sorted by (SendTime, Src, Dst, Tag,
+// RecvTime). The order is total — pairs equal on every key are equal —
+// so the sorted slice depends only on the set of matched messages.
+func ClockPairs(msgs *Messages) []Pair {
+	pairs := MatchedPairs(msgs)
+	slices.SortFunc(pairs, comparePairs)
+	return pairs
+}
+
+// comparePairs orders pairs by (SendTime, Src, Dst, Tag, RecvTime).
+func comparePairs(a, b Pair) int {
+	if c := cmp.Compare(a.SendTime, b.SendTime); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Tag, b.Tag); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.RecvTime, b.RecvTime)
 }
 
 // sweep streams every rank once, in parallel, through stream (the shape
@@ -314,8 +393,9 @@ func StreamPairs(ctx context.Context, nranks int, stream func(rank int, fn func(
 }
 
 // ViolationsFromPairs returns all causality violations among matched
-// pairs under the assumption that no message can travel faster than
-// minLatency.
+// pairs, in any order, under the assumption that no message can travel
+// faster than minLatency, sorted as ClockPairs sorts pairs. Only the
+// violations are sorted, so the pairs need no order.
 func ViolationsFromPairs(pairs []Pair, minLatency trace.Duration) []Violation {
 	var out []Violation
 	for _, p := range pairs {
@@ -327,7 +407,13 @@ func ViolationsFromPairs(pairs []Pair, minLatency trace.Duration) []Violation {
 			})
 		}
 	}
+	slices.SortFunc(out, func(a, b Violation) int { return comparePairs(a.pair(), b.pair()) })
 	return out
+}
+
+// pair returns the matched pair v was found on.
+func (v Violation) pair() Pair {
+	return Pair{Src: v.Src, Dst: v.Dst, Tag: v.Tag, SendTime: v.SendTime, RecvTime: v.RecvTime}
 }
 
 // Violations returns all causality violations of tr under the assumption
@@ -363,6 +449,13 @@ func EstimateOffsets(tr *trace.Trace, minLatency trace.Duration, maxIter int) ([
 
 // OffsetsFromPairs is EstimateOffsets over already-matched pairs. A
 // maxIter ≤ 0 defaults to 10 sweeps per rank.
+//
+// The relaxation is Bellman–Ford's: without a cycle of messages whose
+// deficits sum positive it settles on the least offsets within nranks
+// sweeps, in any pair order; with one it runs all maxIter sweeps. So
+// under the default maxIter, whether it converges, the offsets when it
+// does, and the sweep count when it does not, are the same for every
+// order of pairs; only the sweep count of a converged run depends on it.
 func OffsetsFromPairs(nranks int, pairs []Pair, minLatency trace.Duration, maxIter int) ([]trace.Duration, int, bool) {
 	offsets := make([]trace.Duration, nranks)
 	if maxIter <= 0 {

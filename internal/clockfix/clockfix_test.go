@@ -2,9 +2,11 @@ package clockfix
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"perfvar/internal/parallel"
 	"perfvar/internal/trace"
 	"perfvar/internal/workloads"
 )
@@ -194,4 +196,37 @@ func pingChain(n int) *trace.Trace {
 		tr.Append(rank, trace.Leave(t0+10_000, f))
 	}
 	return tr
+}
+
+// TestMatchAllocsBoundedOnWideTraces matches the ops of 64 ranks that
+// address peers spread over a 65 536-rank trace, as a hostile archive may
+// declare, on four workers. Match's own per-rank slices and its
+// fan-outs' error slots cost about 170 bytes per declared rank, and each
+// worker's peer counters 8; a channel index whose memory grew with the
+// rank count per rank, such as per-rank peer counters, would add 512 KiB
+// for each rank with ops.
+func TestMatchAllocsBoundedOnWideTraces(t *testing.T) {
+	defer parallel.SetJobs(parallel.SetJobs(4))
+	const nranks = 1 << 16
+	rng := rand.New(rand.NewSource(1))
+	ops := make([][]Op, nranks)
+	nops := 0
+	for i := 0; i < 64; i++ {
+		rank := rng.Intn(nranks)
+		for e := int32(0); e < 64; e++ {
+			ops[rank] = append(ops[rank], Op{
+				Time: trace.Time(e), Event: e, Peer: trace.Rank(rng.Intn(nranks)),
+				Tag: int32(rng.Intn(3)), Recv: rng.Intn(2) == 0,
+			})
+			nops++
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	Match(nranks, ops)
+	runtime.ReadMemStats(&after)
+	bound := uint64(256*nranks + 256*nops)
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Fatalf("Match over %d ranks and %d ops allocated %d bytes, want <= %d", nranks, nops, got, bound)
+	}
 }

@@ -1,11 +1,14 @@
 package imbalance
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"perfvar/internal/parallel"
 	"perfvar/internal/trace"
 )
 
@@ -72,27 +75,59 @@ func addAllBins(acc []int64, first, last, from, to trace.Time) {
 	}
 }
 
-// Property: visiting only the overlapping bins accumulates exactly what
-// clipping against every bin does — including spans narrower than the
-// bin count (empty bins), intervals reaching outside the span, and
-// intervals touching bin bounds.
+// Property: binning each rank's intervals on the worker pool, walking
+// the bin edges alongside them, accumulates exactly what clipping every
+// interval against every bin does. Ranks number 1–64 and their interval
+// lists come time-ordered, shuffled, or overlapping, so the cursor steps
+// back; spans are narrower than the bin count (empty bins) or empty, and
+// intervals reach outside the span and start or end on bin edges.
 func TestBinnerMatchesAllBinsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		first := trace.Time(rng.Intn(1000))
-		last := first + trace.Time(rng.Intn(200))
-		bins := 1 + rng.Intn(40)
-		bn := NewBinner(first, last, bins)
-		want := make([]int64, bins)
-		for i := 0; i < 20; i++ {
-			from := first - 20 + trace.Time(rng.Intn(int(last-first)+40))
-			to := from + trace.Time(rng.Intn(80)) - 5
-			bn.AddInterval(from, to)
+	for _, jobs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("jobs%d", jobs), func(t *testing.T) {
+			defer parallel.SetJobs(parallel.SetJobs(jobs))
+			if err := quick.Check(binsMatch, &quick.Config{MaxCount: 2000}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// binsMatch draws one binning case from seed and compares the binner
+// with addAllBins.
+func binsMatch(seed int64) bool {
+	rng := rand.New(rand.NewSource(seed))
+	first := trace.Time(rng.Intn(1000))
+	last := first + trace.Time(rng.Intn(200))
+	bins := 1 + rng.Intn(40)
+	bn := NewBinner(first, last, bins)
+	nranks := 1 + rng.Intn(64)
+	perRank := make([][][2]trace.Time, nranks)
+	want := make([]int64, bins)
+	for rank := range perRank {
+		var ivs [][2]trace.Time
+		at := first - 20 + trace.Time(rng.Intn(20))
+		for i := rng.Intn(20); i > 0; i-- {
+			from := at + trace.Time(rng.Intn(30))
+			if rng.Intn(4) == 0 { // on a bin edge
+				from = bn.edges[rng.Intn(len(bn.edges))]
+			}
+			to := from + trace.Time(rng.Intn(40)) - 3
+			if rng.Intn(4) == 0 {
+				to = bn.edges[rng.Intn(len(bn.edges))]
+			}
+			ivs = append(ivs, [2]trace.Time{from, to})
+			at = max(at, to)
 			addAllBins(want, first, last, from, to)
 		}
-		return reflect.DeepEqual(bn.acc, want)
+		if rng.Intn(2) == 0 {
+			rng.Shuffle(len(ivs), func(i, j int) { ivs[i], ivs[j] = ivs[j], ivs[i] })
+		}
+		perRank[rank] = ivs
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
+	got, err := bn.sum(context.Background(), nranks, func(rank int, c *BinCursor) {
+		for _, iv := range perRank[rank] {
+			c.Add(iv[0], iv[1])
+		}
+	})
+	return err == nil && reflect.DeepEqual(got, want)
 }

@@ -132,9 +132,7 @@ func Analyze(m *segment.Matrix, opts Options) *Analysis {
 // (nil result, ctx.Err()).
 func AnalyzeContext(ctx context.Context, m *segment.Matrix, opts Options) (*Analysis, error) {
 	a := &Analysis{Matrix: m}
-	all := m.SOSValues()
-	a.Median = stats.Median(all)
-	a.MAD = stats.MAD(all)
+	a.Median, a.MAD = stats.MedianMAD(m.SOSValues())
 
 	threshold := opts.zThreshold()
 	relDev := opts.minRelDeviation()
@@ -144,9 +142,7 @@ func AnalyzeContext(ctx context.Context, m *segment.Matrix, opts Options) (*Anal
 		colMed = make([]float64, iters)
 		colMAD = make([]float64, iters)
 		if err := parallel.DoCtx(ctx, iters, func(it int) {
-			col := m.ColumnSOS(it)
-			colMed[it] = stats.Median(col)
-			colMAD[it] = stats.MAD(col)
+			colMed[it], colMAD[it] = stats.MedianMAD(m.ColumnSOS(it))
 		}); err != nil {
 			return nil, err
 		}
@@ -350,68 +346,119 @@ func ParadigmFractionTimeline(tr *trace.Trace, par trace.Paradigm, bins int) []f
 		return nil
 	}
 	first, last := tr.Span()
-	bn := NewBinner(first, last, bins)
-	callstack.EachInterval(tr, callstack.ParadigmMask(tr.Regions, par), bn.AddInterval)
-	return bn.Fractions(tr.NumRanks())
+	mask := callstack.ParadigmMask(tr.Regions, par)
+	// Only a cancelled context fails the fan-out, and this one is never
+	// cancelled.
+	frac, _ := NewBinner(first, last, bins).Fractions(context.Background(), tr.NumRanks(), func(rank int, c *BinCursor) {
+		callstack.EachInterval(tr.Procs[rank].Events, mask, c.Add)
+	})
+	return frac
 }
 
-// Binner accumulates, per equal-width time bin of the span [first, last],
-// the nanoseconds a set of intervals covers — the one binning kernel
-// behind ParadigmFractionTimeline and the streaming engine's MPI
-// timeline. Bin b covers [first + span*b/bins, first + span*(b+1)/bins)
-// with truncating integer bounds. Accumulating in int64 keeps every
-// addend exact and the sums order-independent; the one float64
-// conversion happens in Fractions, after the final sum, which is what
-// makes the materialized and streaming fractions byte-identical.
+// Binner is the one binning kernel behind ParadigmFractionTimeline and
+// the streaming engine's MPI timeline: it sums, per equal-width time bin
+// of the span [first, last], the nanoseconds a set of per-rank intervals
+// covers. Bin b covers [first + span*b/bins, first + span*(b+1)/bins)
+// with truncating integer bounds, computed once. Accumulating in int64
+// keeps every addend exact and the sums independent of order and of how
+// the ranks are spread over workers; the one float64 conversion happens
+// after the final sum, which is what makes the materialized and
+// streaming fractions byte-identical.
 type Binner struct {
 	first, span trace.Time
-	acc         []int64
+	edges       []trace.Time // edges[b] is bin b's start, edges[bins] = last
 }
 
-// NewBinner returns a binner of bins bins over [first, last].
+// NewBinner returns a binner of bins > 0 bins over [first, last].
 func NewBinner(first, last trace.Time, bins int) *Binner {
-	return &Binner{first: first, span: last - first, acc: make([]int64, bins)}
+	b := &Binner{first: first, span: last - first, edges: make([]trace.Time, bins+1)}
+	for k := range b.edges {
+		b.edges[k] = first + b.span*trace.Time(k)/trace.Time(bins)
+	}
+	return b
 }
 
-// AddInterval adds the part of [from, to) inside each bin, visiting only
-// the bins the interval overlaps.
-func (b *Binner) AddInterval(from, to trace.Time) {
-	n := trace.Time(len(b.acc))
+// BinCursor bins one rank's intervals into a worker's accumulator. It
+// walks the bin edges alongside the intervals, so a rank's time-ordered
+// intervals cost no division; an interval that starts before the
+// cursor's bin, or cursorReach or more bins past it, is placed by
+// division instead, so intervals in any order, or far apart, cost
+// O(1 + the bins they overlap) each.
+type BinCursor struct {
+	b   *Binner
+	acc []int64
+	k   int // the bin the last interval started in
+}
+
+// cursorReach is how many bin edges a cursor walks forward before it
+// places an interval by division.
+const cursorReach = 4
+
+// Add adds the part of [from, to) inside each bin it overlaps.
+func (c *BinCursor) Add(from, to trace.Time) {
+	b, n := c.b, len(c.acc)
 	if to <= from || b.span <= 0 {
 		return
 	}
-	// The first bin that can overlap: its start is at most from, and
-	// every earlier bin ends at or before from.
-	k := trace.Time(0)
-	if from > b.first {
-		k = (from - b.first) * n / b.span
-	}
-	for ; k < n; k++ {
-		bStart := b.first + b.span*k/n
-		if bStart >= to {
-			return
+	k := c.k
+	if from < b.edges[k] || from >= b.edges[min(k+cursorReach, n)] {
+		// The first bin that can overlap: its start is at most from,
+		// and every earlier bin ends at or before from.
+		k = 0
+		if from > b.first {
+			k = int(min((from-b.first)*trace.Time(n)/b.span, trace.Time(n)))
 		}
-		bEnd := b.first + b.span*(k+1)/n
-		lo, hi := max(from, bStart), min(to, bEnd)
-		if hi > lo {
-			b.acc[k] += int64(hi - lo)
+	}
+	for k < n && b.edges[k+1] <= from {
+		k++
+	}
+	c.k = k
+	for ; k < n && b.edges[k] < to; k++ {
+		if lo, hi := max(from, b.edges[k]), min(to, b.edges[k+1]); hi > lo {
+			c.acc[k] += int64(hi - lo)
 		}
 	}
 }
 
-// Fractions returns each bin's covered time as a fraction of the bin's
-// aggregate time across nranks ranks; all zero for an empty span.
-func (b *Binner) Fractions(nranks int) []float64 {
-	out := make([]float64, len(b.acc))
-	if b.span <= 0 {
-		return out
+// sum bins every rank's intervals, handed to its cursor by rank(r, c),
+// on the worker pool: each worker sums into its own accumulator, and the
+// accumulators are added up once every rank is binned, so memory is
+// O(workers × bins) whatever the rank count.
+func (b *Binner) sum(ctx context.Context, nranks int, rank func(r int, c *BinCursor)) ([]int64, error) {
+	bins := len(b.edges) - 1
+	accs, err := parallel.DoWorkersCtx(ctx, nranks, func() []int64 { return make([]int64, bins) }, func(acc []int64, r int) {
+		rank(r, &BinCursor{b: b, acc: acc})
+	})
+	if err != nil {
+		return nil, err
 	}
-	binWidth := float64(b.span) / float64(len(b.acc))
+	total := make([]int64, bins)
+	for _, acc := range accs {
+		for k, v := range acc {
+			total[k] += v
+		}
+	}
+	return total, nil
+}
+
+// Fractions bins every rank's intervals as sum does and returns each
+// bin's covered time as a fraction of the bin's aggregate time across
+// nranks ranks; all zero for an empty span.
+func (b *Binner) Fractions(ctx context.Context, nranks int, rank func(r int, c *BinCursor)) ([]float64, error) {
+	acc, err := b.sum(ctx, nranks, rank)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(acc))
+	if b.span <= 0 {
+		return out, nil
+	}
+	binWidth := float64(b.span) / float64(len(acc))
 	denom := binWidth * float64(nranks)
-	for i, v := range b.acc {
+	for i, v := range acc {
 		out[i] = float64(v) / denom
 	}
-	return out
+	return out, nil
 }
 
 // MPIFractionTimeline is ParadigmFractionTimeline for the MPI paradigm.
@@ -429,10 +476,13 @@ func ParadigmFractionBetween(tr *trace.Trace, par trace.Paradigm, from, to trace
 	}
 	// int64 until the final division, as in ParadigmFractionTimeline.
 	var inPar trace.Duration
-	callstack.EachInterval(tr, callstack.ParadigmMask(tr.Regions, par), func(a, b trace.Time) {
-		if lo, hi := max(a, from), min(b, to); hi > lo {
-			inPar += hi - lo
-		}
-	})
+	mask := callstack.ParadigmMask(tr.Regions, par)
+	for _, p := range tr.Procs {
+		callstack.EachInterval(p.Events, mask, func(a, b trace.Time) {
+			if lo, hi := max(a, from), min(b, to); hi > lo {
+				inPar += hi - lo
+			}
+		})
+	}
 	return float64(inPar) / (float64(to-from) * float64(tr.NumRanks()))
 }

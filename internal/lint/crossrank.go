@@ -21,16 +21,8 @@ import (
 // facts: matched pairs become graph edges, unmatched operations become
 // rank-level wait-for edges for the deadlock detector.
 func dependencyGraph(ctx context.Context, m *segment.Matrix, scans []*causality.RankScanner, msgs *Messages) (*causality.Graph, error) {
-	pairs := make([]causality.Pair, len(msgs.Pairs))
-	for i, p := range msgs.Pairs {
-		pairs[i] = causality.Pair{
-			SendRank: p.Send.Rank, SendTime: p.Send.Time,
-			RecvRank: p.Recv.Rank, RecvTime: p.Recv.Time, RecvEvent: p.Recv.Event,
-			Tag: p.Recv.Tag, Bytes: p.Recv.Bytes,
-		}
-	}
 	return causality.BuildContext(ctx, causality.Input{
-		Matrix: m, Scans: scans, Pairs: pairs, Unmatched: depsFromUnmatched(msgs),
+		Matrix: m, Scans: scans, Pairs: msgs.Pairs, Unmatched: depsFromUnmatched(msgs),
 	})
 }
 

@@ -82,22 +82,20 @@ func TestMatchOpsMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
-// TestClockPairsMatchReferenceOrder checks that Pass.ClockPairs keeps the
-// order sort.Slice gave the same pairs, ties on (SendTime, Src, Dst)
-// included.
+// TestClockPairsMatchReferenceOrder checks that clockfix.ClockPairs sorts
+// the reference matcher's pairs by the total order (SendTime, Src, Dst,
+// Tag, RecvTime), ties on the first three keys included, and that
+// Pass.ClockPairs holds the same pairs unsorted, in Match order.
 func TestClockPairsMatchReferenceOrder(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		nranks, ops := randomOps(rand.New(rand.NewSource(seed)))
 		p := &Pass{facts: &facts{nranks: nranks, ops: ops}}
-		got := p.ClockPairs()
+		msgs := clockfix.Match(nranks, ops)
+		got := clockfix.ClockPairs(&msgs)
 
-		ref := referenceMatchOps(nranks, ops)
-		want := make([]clockfix.Pair, len(ref.Pairs))
-		for i, mp := range ref.Pairs {
-			want[i] = clockfix.Pair{
-				Src: mp.Send.Rank, Dst: mp.Recv.Rank, Tag: mp.Recv.Tag,
-				SendTime: mp.Send.Time, RecvTime: mp.Recv.Time,
-			}
+		want := referencePairs(referenceMatchOps(nranks, ops))
+		if unsorted := p.ClockPairs(); !reflect.DeepEqual(unsorted, want) {
+			t.Fatalf("seed %d: Pass.ClockPairs is not in Match order\ngot  %+v\nwant %+v", seed, unsorted, want)
 		}
 		sortSlice(want, func(a, b clockfix.Pair) bool {
 			if a.SendTime != b.SendTime {
@@ -106,12 +104,148 @@ func TestClockPairsMatchReferenceOrder(t *testing.T) {
 			if a.Src != b.Src {
 				return a.Src < b.Src
 			}
-			return a.Dst < b.Dst
+			if a.Dst != b.Dst {
+				return a.Dst < b.Dst
+			}
+			if a.Tag != b.Tag {
+				return a.Tag < b.Tag
+			}
+			return a.RecvTime < b.RecvTime
 		})
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: clock pairs differ from sort.Slice order\ngot  %+v\nwant %+v", seed, got, want)
+			t.Fatalf("seed %d: clock pairs differ from the total order\ngot  %+v\nwant %+v", seed, got, want)
 		}
 	}
+}
+
+// referencePairs returns the clock pairs of msgs in msgs.Pairs order.
+func referencePairs(msgs Messages) []clockfix.Pair {
+	pairs := make([]clockfix.Pair, len(msgs.Pairs))
+	for i, mp := range msgs.Pairs {
+		pairs[i] = clockfix.Pair{
+			Src: mp.Send.Rank, Dst: mp.Recv.Rank, Tag: mp.Recv.Tag,
+			SendTime: mp.Send.Time, RecvTime: mp.Recv.Time,
+		}
+	}
+	return pairs
+}
+
+// TestClockskewMatchesSortedPairsProperty pins the clockskew analyzer,
+// which filters violations from unsorted pairs and sorts only them, to
+// the finish that sorted every pair by (SendTime, Src, Dst) first, on
+// randomOps sets with per-rank clock skew and minimal latencies of 0–39
+// ns. The diagnostics must be
+// identical except for the order among violations tied on (SendTime,
+// Src, Dst), which the total order now fixes by (Tag, RecvTime) — and
+// with it which tied violations make the listed 50.
+func TestClockskewMatchesSortedPairsProperty(t *testing.T) {
+	var capped, tied, drifted int
+	for _, jobs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("jobs%d", jobs), func(t *testing.T) {
+			defer parallel.SetJobs(parallel.SetJobs(jobs))
+			for seed := int64(0); seed < 300; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				nranks, ops := randomOps(rng)
+				minLatency := trace.Duration(seed % 40)
+				for rank := range ops {
+					skew := trace.Duration(rng.Intn(41) - 20)
+					for i := range ops[rank] {
+						ops[rank][i].Time += skew
+					}
+				}
+				p := &Pass{analyzer: clockskewAnalyzer{}, facts: &facts{nranks: nranks, ops: ops, minLatency: minLatency}}
+				if err := (clockskewVisitor{p: p}).Finish(); err != nil {
+					t.Fatal(err)
+				}
+				want, stats := referenceClockskew(nranks, ops, minLatency)
+				if !reflect.DeepEqual(p.diags, want) {
+					t.Fatalf("seed %d (%d ranks): clockskew diagnostics differ from the sorted-pairs reference\ngot  %+v\nwant %+v",
+						seed, nranks, p.diags, want)
+				}
+				capped += stats.capped
+				tied += stats.tied
+				drifted += stats.drifted
+			}
+		})
+	}
+	if capped == 0 || tied == 0 || drifted == 0 {
+		t.Fatalf("draws exercise too little: %d capped lists, %d tied violations, %d non-converging relaxations", capped, tied, drifted)
+	}
+}
+
+// clockskewDraw counts what one reference run exercised.
+type clockskewDraw struct{ capped, tied, drifted int }
+
+// referenceClockskew is the clockskew finish as it ran on pairs sorted
+// by (SendTime, Src, Dst) with pdqsort, kept as the property test's
+// oracle, with the one intended change applied: violations tied on
+// those keys are listed by (Tag, RecvTime).
+func referenceClockskew(nranks int, ops [][]clockfix.Op, minLatency trace.Duration) ([]Diagnostic, clockskewDraw) {
+	var draw clockskewDraw
+	pairs := referencePairs(referenceMatchOps(nranks, ops))
+	sortSlice(pairs, func(a, b clockfix.Pair) bool {
+		if a.SendTime != b.SendTime {
+			return a.SendTime < b.SendTime
+		}
+		if a.Src != b.Src {
+			return a.Src < b.Src
+		}
+		return a.Dst < b.Dst
+	})
+	var viols []clockfix.Violation
+	for _, p := range pairs {
+		if deficit := p.SendTime + minLatency - p.RecvTime; deficit > 0 {
+			viols = append(viols, clockfix.Violation{
+				Src: p.Src, Dst: p.Dst, Tag: p.Tag,
+				SendTime: p.SendTime, RecvTime: p.RecvTime,
+				Deficit: deficit,
+			})
+		}
+	}
+	for i := 0; i < len(viols); {
+		j := i + 1
+		for j < len(viols) && viols[j].SendTime == viols[i].SendTime && viols[j].Src == viols[i].Src && viols[j].Dst == viols[i].Dst {
+			j++
+		}
+		if j-i > 1 {
+			draw.tied++
+		}
+		sortSlice(viols[i:j], func(a, b clockfix.Violation) bool {
+			if a.Tag != b.Tag {
+				return a.Tag < b.Tag
+			}
+			return a.RecvTime < b.RecvTime
+		})
+		i = j
+	}
+
+	p := &Pass{analyzer: clockskewAnalyzer{}, facts: &facts{nranks: nranks, minLatency: minLatency}}
+	for i, viol := range viols {
+		if i >= maxPerFinding {
+			draw.capped++
+			p.Reportf(SeverityWarning, "causality-violation", -1, -1, 0,
+				"%d more causality violations not listed", len(viols)-i)
+			break
+		}
+		p.Report(Diagnostic{
+			Code: "causality-violation", Severity: SeverityWarning,
+			Rank: viol.Dst, Event: -1, Time: viol.RecvTime,
+			Message: sprintf("message from rank %d (tag %d) received %d ns before it could arrive (sent %d, min latency %d)",
+				viol.Src, viol.Tag, viol.Deficit, viol.SendTime, p.MinLatency()),
+			SuggestedFix: "shift per-rank clocks (pvtlint -fix or perfvar.CorrectClocks)",
+			Fixable:      true,
+		})
+	}
+	if len(viols) == 0 {
+		return p.diags, draw
+	}
+	_, iters, converged := clockfix.OffsetsFromPairs(nranks, pairs, minLatency, 0)
+	if !converged {
+		draw.drifted++
+		p.Reportf(SeverityWarning, "clock-drift", -1, -1, 0,
+			"per-rank offset relaxation did not converge after %d sweeps: clock rate drift that constant offsets cannot repair", iters)
+	}
+	return p.diags, draw
 }
 
 // referenceMatchOps is the sort-based matching clockfix.Match replaced, kept

@@ -100,10 +100,12 @@ func (p *Pass) Messages() *Messages {
 }
 
 // ClockPairs returns the matched send/recv timestamp pairs used by
-// clock-skew analysis, sorted by (SendTime, Src, Dst): clockfix.ClockPairs
-// of the Messages facts.
+// clock-skew analysis, unsorted, in the order of the Messages facts'
+// pairs (clockfix.MatchedPairs). Nothing read off them depends on their
+// order: clockfix.ViolationsFromPairs sorts the violations it finds, and
+// offset relaxation converges, or runs out of sweeps, whatever the order.
 func (p *Pass) ClockPairs() []clockfix.Pair {
-	p.facts.clockOnce.Do(func() { p.facts.clockPairs = clockfix.ClockPairs(p.Messages()) })
+	p.facts.clockOnce.Do(func() { p.facts.clockPairs = clockfix.MatchedPairs(p.Messages()) })
 	return p.facts.clockPairs
 }
 

@@ -246,8 +246,7 @@ func (a *Analyzer) complete(seg segment.Segment) *Alert {
 	if a.seen > a.opts.Warmup && len(a.resv) >= 2 {
 		// Refresh the cached statistics at most every 16 completions.
 		if a.statsAt == 0 || a.seen-a.statsAt >= 16 {
-			a.cachedMed = stats.Median(a.resv)
-			a.cachedMAD = stats.MAD(a.resv)
+			a.cachedMed, a.cachedMAD = stats.MedianMAD(a.resv)
 			a.statsAt = a.seen
 		}
 		z = stats.RobustZ(sos, a.cachedMed, a.cachedMAD)

@@ -58,11 +58,11 @@ func SetJobs(n int) int {
 // naturally racy and only meaningful as a point-in-time sample.
 func Active() int { return int(busy.Load()) }
 
-// run executes one work item with the occupancy gauge held.
-func run(fn func(i int) error, i int) error {
+// run executes item i on worker w with the occupancy gauge held.
+func run(fn func(w, i int) error, w, i int) error {
 	busy.Add(1)
 	defer busy.Add(-1)
-	return fn(i)
+	return fn(w, i)
 }
 
 // ForEach runs fn(i) for every i in [0, n) on at most Jobs() worker
@@ -81,14 +81,19 @@ func ForEach(n int, fn func(i int) error) error {
 // deterministic failures stay deterministic; a cancelled run's partial
 // results are otherwise unspecified.
 func ForEachCtx(ctx context.Context, n int, fn func(i int) error) error {
+	return forEach(ctx, n, workerCount(n), func(_, i int) error { return fn(i) })
+}
+
+// workerCount returns the number of workers a fan-out of n items starts.
+func workerCount(n int) int { return max(1, min(Jobs(), n)) }
+
+// forEach is ForEachCtx on the given number of workers, handing fn the
+// index, in [0, workers), of the worker running item i.
+func forEach(ctx context.Context, n, workers int, fn func(w, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	done := ctx.Done()
-	workers := Jobs()
-	if workers > n {
-		workers = n
-	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if done != nil {
@@ -96,7 +101,7 @@ func ForEachCtx(ctx context.Context, n int, fn func(i int) error) error {
 					return err
 				}
 			}
-			if err := run(fn, i); err != nil {
+			if err := run(fn, 0, i); err != nil {
 				return err
 			}
 		}
@@ -126,7 +131,7 @@ func ForEachCtx(ctx context.Context, n int, fn func(i int) error) error {
 				if i >= int64(n) || i > minFail.Load() {
 					return
 				}
-				if err := run(fn, int(i)); err != nil {
+				if err := run(fn, w, int(i)); err != nil {
 					errs[i] = err
 					for {
 						cur := minFail.Load()
@@ -167,6 +172,28 @@ func DoCtx(ctx context.Context, n int, fn func(i int)) error {
 	})
 }
 
+// DoWorkersCtx is DoCtx for items that fold into per-worker state, such
+// as accumulators summed once the fan-out is done: each worker gets its
+// own state from newState and runs fn(s, i) with it for the items it
+// claims, so the states cost O(workers), not O(n). It returns the states,
+// one per worker, or nil and ctx.Err() when the fan-out was cut short.
+func DoWorkersCtx[S any](ctx context.Context, n int, newState func() S, fn func(s S, i int)) ([]S, error) {
+	if n <= 0 {
+		return nil, nil
+	}
+	states := make([]S, workerCount(n))
+	for w := range states {
+		states[w] = newState()
+	}
+	if err := forEach(ctx, n, len(states), func(w, i int) error {
+		fn(states[w], i)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return states, nil
+}
+
 // Map runs fn(i) for every i in [0, n) and collects the results in index
 // order. On failure it returns nil and the lowest failing index's error.
 func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
@@ -203,16 +230,14 @@ func ForEachAllCtx(ctx context.Context, n int, fn func(i int) error) []error {
 	done := ctx.Done()
 	errs := make([]error, n)
 	claimed := 0
-	workers := Jobs()
-	if workers > n {
-		workers = n
-	}
+	workers := workerCount(n)
+	item := func(_, i int) error { return fn(i) }
 	if workers <= 1 {
 		for i := range errs {
 			if done != nil && ctx.Err() != nil {
 				break
 			}
-			errs[i] = run(fn, i)
+			errs[i] = run(item, 0, i)
 			claimed++
 		}
 		for i := claimed; i < n; i++ {
@@ -233,7 +258,7 @@ func ForEachAllCtx(ctx context.Context, n int, fn func(i int) error) []error {
 					if i >= int64(n) {
 						return
 					}
-					errs[i] = run(fn, int(i))
+					errs[i] = run(item, w, int(i))
 				}
 			}()
 		}

@@ -316,3 +316,44 @@ func TestActiveGaugeReturnsToZero(t *testing.T) {
 		t.Fatalf("Active() = %d after fan-out drained, want 0", got)
 	}
 }
+
+// TestDoWorkersCtxOneStatePerWorker checks that every item runs once
+// with a state that no other worker touches concurrently (each state is
+// a plain counter, so sharing one would race), that there are at most
+// Jobs() states, and that a cancelled fan-out returns no states.
+func TestDoWorkersCtxOneStatePerWorker(t *testing.T) {
+	for _, jobs := range []int{1, 2, 7} {
+		prev := SetJobs(jobs)
+		for _, n := range []int{0, 1, 3, 200} {
+			ran := make([]atomic.Int32, n)
+			states, err := DoWorkersCtx(context.Background(), n, func() *int { return new(int) }, func(s *int, i int) {
+				*s++
+				ran[i].Add(1)
+			})
+			if err != nil {
+				t.Fatalf("jobs=%d n=%d: %v", jobs, n, err)
+			}
+			if len(states) > jobs {
+				t.Fatalf("jobs=%d n=%d: %d states", jobs, n, len(states))
+			}
+			total := 0
+			for _, s := range states {
+				total += *s
+			}
+			if total != n {
+				t.Fatalf("jobs=%d n=%d: states counted %d items", jobs, n, total)
+			}
+			for i := range ran {
+				if got := ran[i].Load(); got != 1 {
+					t.Fatalf("jobs=%d n=%d: index %d ran %d times", jobs, n, i, got)
+				}
+			}
+		}
+		SetJobs(prev)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if states, err := DoWorkersCtx(ctx, 10, func() int { return 0 }, func(int, int) {}); err == nil || states != nil {
+		t.Fatalf("cancelled fan-out = (%v, %v), want (nil, context.Canceled)", states, err)
+	}
+}

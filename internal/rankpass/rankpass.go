@@ -278,17 +278,19 @@ func (r *Rank) stream(src Streams, rank int, cfg *Config) error {
 }
 
 // Release hands every rank's candidate and interval chunks back to
-// their pools. Segments results are copies and stay valid.
+// their pools, rank by rank on the worker pool. Segments results are
+// copies and stay valid.
 func (p *Pass) Release() {
-	for _, r := range p.Ranks {
+	parallel.Do(len(p.Ranks), func(rank int) {
+		r := p.Ranks[rank]
 		if r == nil {
-			continue
+			return
 		}
 		if r.Cand != nil {
 			r.Cand.Release()
 		}
 		r.Intervals.Release()
-	}
+	})
 }
 
 // Replays returns every rank's replay, in rank order.

@@ -131,6 +131,12 @@ func (g *flightGroup) do(
 	newComputeCtx func() (context.Context, context.CancelFunc),
 	fn func(ctx context.Context) (any, error),
 ) (val any, err error, shared bool) {
+	if err := ctx.Err(); err != nil {
+		// The caller hung up before asking: start and join nothing. Were
+		// it to start a call, a computation finished by the time of the
+		// select below would race its own hang-up for the answer.
+		return nil, err, false
+	}
 	g.mu.Lock()
 	c, joined := g.calls[key]
 	if joined && c.ctx.Err() != nil {

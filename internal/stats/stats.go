@@ -87,7 +87,7 @@ func Percentile(xs []float64, p float64) float64 {
 }
 
 // dropNaN returns a fresh copy of xs with NaN samples removed. The
-// order-statistic entry points (Percentile, Median, MAD, Histogram)
+// order-statistic entry points (Percentile, Median, MedianMAD, Histogram)
 // filter through it so a single poisoned sample cannot make results
 // nondeterministic.
 func dropNaN(xs []float64) []float64 {
@@ -107,29 +107,74 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	if p >= 100 {
 		return sorted[len(sorted)-1]
 	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
+	lo, hi, frac := ranks(len(sorted), p)
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// MAD returns the median absolute deviation of xs around its median.
-// NaN samples are ignored, matching Median.
-func MAD(xs []float64) float64 {
-	clean := dropNaN(xs)
-	if len(clean) == 0 {
-		return 0
+// ranks returns the two closest ranks of the p-th percentile of n sorted
+// samples and the weight of the upper one.
+func ranks(n int, p float64) (lo, hi int, frac float64) {
+	rank := p / 100 * float64(n-1)
+	lo, hi = int(math.Floor(rank)), int(math.Ceil(rank))
+	return lo, hi, rank - float64(lo)
+}
+
+// MedianMAD returns the median of xs and the median absolute deviation
+// of xs around it, both 0 for an empty slice. NaN samples are ignored,
+// as in Median. It copies and sorts xs once: the deviations of the
+// samples below the median, read from the median outwards, ascend, and
+// so do those of the samples above it, so merging
+// the two sides yields the deviations' middle order statistics without
+// sorting them. The input is not modified.
+func MedianMAD(xs []float64) (median, mad float64) {
+	sorted := dropNaN(xs)
+	n := len(sorted)
+	if n == 0 {
+		return 0, 0
 	}
-	m := Median(clean)
-	devs := clean
-	for i, x := range clean {
-		devs[i] = math.Abs(x - m)
+	sort.Float64s(sorted)
+	m := percentileSorted(sorted, 50)
+	if math.IsNaN(m) || math.IsInf(m, 0) {
+		// An infinite median leaves NaN (dropped) deviations for the
+		// samples equal to it and +Inf for every other; a NaN median
+		// (−Inf and +Inf averaged) leaves only NaN ones.
+		if math.IsNaN(m) {
+			return m, 0
+		}
+		for _, x := range sorted {
+			if x != m {
+				return m, math.Inf(1)
+			}
+		}
+		return m, 0
 	}
-	return Median(devs)
+	// |x−m| rounds monotonically on each side of the split: it ascends
+	// from the split outwards, and with a finite median it is never NaN.
+	lo, hi, frac := ranks(n, 50)
+	r := sort.SearchFloat64s(sorted, m)
+	l := r - 1
+	var devLo, devHi float64
+	for k := 0; k <= hi; k++ {
+		var d float64
+		if r == n || (l >= 0 && math.Abs(sorted[l]-m) <= math.Abs(sorted[r]-m)) {
+			d = math.Abs(sorted[l] - m)
+			l--
+		} else {
+			d = math.Abs(sorted[r] - m)
+			r++
+		}
+		if k == lo {
+			devLo = d
+		}
+		devHi = d
+	}
+	if lo == hi {
+		return m, devLo
+	}
+	return m, devLo*(1-frac) + devHi*frac
 }
 
 // RobustZ returns the robust z-score of x against the distribution

@@ -74,8 +74,8 @@ func TestMedianPercentile(t *testing.T) {
 
 func TestMADAndRobustZ(t *testing.T) {
 	xs := []float64{1, 1, 2, 2, 4, 6, 9}
-	if m := MAD(xs); m != 1 {
-		t.Fatalf("MAD = %g, want 1", m)
+	if med, mad := MedianMAD(xs); med != 2 || mad != 1 {
+		t.Fatalf("MedianMAD = (%g, %g), want (2, 1)", med, mad)
 	}
 	if z := RobustZ(9, 2, 1); !almostEqual(z, 0.6745*7, 1e-12) {
 		t.Fatalf("RobustZ = %g", z)
@@ -89,8 +89,8 @@ func TestMADAndRobustZ(t *testing.T) {
 	if z := RobustZ(4, 5, 0); !math.IsInf(z, -1) {
 		t.Fatalf("RobustZ constant below = %g", z)
 	}
-	if MAD(nil) != 0 {
-		t.Fatal("MAD(nil) != 0")
+	if med, mad := MedianMAD(nil); med != 0 || mad != 0 {
+		t.Fatalf("MedianMAD(nil) = (%g, %g)", med, mad)
 	}
 }
 
@@ -294,8 +294,8 @@ func TestOrderStatisticsIgnoreNaN(t *testing.T) {
 			t.Fatalf("Percentile(%v) with NaNs = %v, want %v", p, got, want)
 		}
 	}
-	if got, want := MAD(dirty), MAD(clean); got != want {
-		t.Fatalf("MAD with NaNs = %v, want %v", got, want)
+	if _, got := MedianMAD(dirty); got != MAD(clean) {
+		t.Fatalf("MAD with NaNs = %v, want %v", got, MAD(clean))
 	}
 	if m := Median([]float64{math.NaN(), math.NaN()}); m != 0 {
 		t.Fatalf("Median(all-NaN) = %v, want 0", m)
@@ -325,14 +325,75 @@ func TestNaNInjectionProperty(t *testing.T) {
 		if got, want := Percentile(dirty, p), Percentile(clean, p); got != want {
 			t.Fatalf("trial %d: Percentile(%v) = %v, want %v", trial, p, got, want)
 		}
-		if got, want := MAD(dirty), MAD(clean); got != want {
-			t.Fatalf("trial %d: MAD = %v, want %v", trial, got, want)
+		if _, got := MedianMAD(dirty); got != MAD(clean) {
+			t.Fatalf("trial %d: MAD = %v, want %v", trial, got, MAD(clean))
 		}
 		h1 := Histogram(dirty, -3e3, 3e3, 1+rng.Intn(8))
 		h2 := Histogram(clean, -3e3, 3e3, len(h1))
 		for i := range h1 {
 			if h1[i] != h2[i] {
 				t.Fatalf("trial %d: histogram differs with NaNs: %v vs %v", trial, h1, h2)
+			}
+		}
+	}
+}
+
+// MAD is the median absolute deviation as Median and a second Median
+// over the deviations compute it — three copies and three sorts — kept
+// as MedianMAD's oracle.
+func MAD(xs []float64) float64 {
+	clean := dropNaN(xs)
+	if len(clean) == 0 {
+		return 0
+	}
+	m := Median(clean)
+	devs := clean
+	for i, x := range clean {
+		devs[i] = math.Abs(x - m)
+	}
+	return Median(devs)
+}
+
+// Property: MedianMAD returns the bits of (Median, MAD) on samples with
+// NaNs, ±Inf, subnormals, heavy ties, and n from 0 to 40, 1 and 2
+// included.
+func TestMedianMADMatchesMedianAndMADProperty(t *testing.T) {
+	pool := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		1, 1, 2, 3, -7.5, 1e300, -1e300, math.MaxFloat64,
+		math.SmallestNonzeroFloat64, 0.1, 0.2, 0.3,
+	}
+	negZero := math.Copysign(0, -1)
+	fixed := [][]float64{
+		{0, negZero, negZero}, {negZero, 0, 0}, {negZero, 0}, {math.Inf(1), 1, math.Inf(1)},
+		{math.Inf(-1), math.Inf(1)}, {math.NaN()}, {math.Inf(1)},
+	}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20000; trial++ {
+		n := rng.Intn(41)
+		if trial%4 == 0 {
+			n = 1 + rng.Intn(2)
+		}
+		xs := make([]float64, n)
+		for i := range xs {
+			if rng.Intn(3) == 0 {
+				xs[i] = rng.NormFloat64() * 1e3
+			} else {
+				xs[i] = pool[rng.Intn(len(pool))]
+			}
+		}
+		if trial < len(fixed) {
+			xs = fixed[trial]
+		}
+		in := append([]float64(nil), xs...)
+		med, mad := MedianMAD(xs)
+		wantMed, wantMAD := Median(xs), MAD(xs)
+		if math.Float64bits(med) != math.Float64bits(wantMed) || math.Float64bits(mad) != math.Float64bits(wantMAD) {
+			t.Fatalf("trial %d: MedianMAD(%v) = (%v, %v), want (%v, %v)", trial, in, med, mad, wantMed, wantMAD)
+		}
+		for i := range xs {
+			if math.Float64bits(xs[i]) != math.Float64bits(in[i]) {
+				t.Fatalf("trial %d: input mutated: %v, was %v", trial, xs, in)
 			}
 		}
 	}
